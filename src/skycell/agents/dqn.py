@@ -14,6 +14,7 @@ import numpy as np
 from .. import neural
 from ..environment import (NetworkEnv, action_from_index, index_from_action,
                            num_actions)
+from .training import linear_schedule, q_td_step, run_episodes
 
 
 @dataclass
@@ -53,9 +54,8 @@ class DqnAgent:
 
     def epsilon(self, total_steps: int) -> float:
         c = self.config
-        ramp = max(int(c.eps_fraction * total_steps), 1)
-        frac = min(self.global_step / ramp, 1.0)
-        return c.eps_start + frac * (c.eps_end - c.eps_start)
+        return linear_schedule(c.eps_start, c.eps_end, c.eps_fraction,
+                               self.global_step, total_steps)
 
 
 def dqn_act(agent: DqnAgent, features: np.ndarray, epsilon: float,
@@ -73,23 +73,7 @@ def dqn_act(agent: DqnAgent, features: np.ndarray, epsilon: float,
 
 def dqn_train_step(agent: DqnAgent, batch: neural.Batch) -> float:
     """One Huber TD update on a sampled minibatch; returns the mean loss."""
-    c = agent.config
-    q_next = neural.forward(agent.target, batch.next_states)
-    bootstrap = q_next.max(axis=1)
-    targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
-    out, cache = neural.forward_cached(agent.online, batch.states)
-    rows = np.arange(out.shape[0])
-    acts = batch.actions.astype(np.int64)
-    err = out[rows, acts] - targets
-    loss, dloss = neural.huber(err)
-    upstream = np.zeros_like(out)
-    upstream[rows, acts] = dloss / out.shape[0]
-    grads = neural.backward_from_cache(agent.online, cache, upstream)
-    neural.adam_step(agent.opt, agent.online.parameters(), grads)
-    agent.train_calls += 1
-    if agent.train_calls % c.target_sync == 0:
-        agent.target.copy_from(agent.online)
-    return float(loss.mean())
+    return q_td_step(agent, batch)
 
 
 def train_dqn(env: NetworkEnv, agent: DqnAgent, episodes: int,
@@ -100,32 +84,14 @@ def train_dqn(env: NetworkEnv, agent: DqnAgent, episodes: int,
     regime); otherwise each episode draws a fresh instance from rng. Returns
     per-episode totals for inspection.
     """
-    c = agent.config
     total_steps = episodes * env.config.horizon
-    history = {"episode_reward": [], "episode_best_rate": [], "loss": []}
-    for _ in range(episodes):
-        seed = frozen_seed if frozen_seed is not None else int(rng.integers(2 ** 63))
-        features = env.reset(seed)
-        ep_reward = 0.0
-        best_rate = 0.0
-        losses = []
-        done = False
-        while not done:
-            eps = agent.epsilon(total_steps)
-            action = dqn_act(agent, features, eps, rng)
-            outcome = env.step(action)
-            agent.buffer.push(features, np.int64(index_from_action(action)),
-                              outcome.reward * c.reward_scale,
-                              outcome.features, outcome.done)
-            features = outcome.features
-            done = outcome.done
-            ep_reward += outcome.reward
-            best_rate = max(best_rate, outcome.info["sum_rate"])
-            agent.global_step += 1
-            if len(agent.buffer) >= max(c.train_start, c.batch_size):
-                batch = agent.buffer.sample(c.batch_size, rng)
-                losses.append(dqn_train_step(agent, batch))
-        history["episode_reward"].append(ep_reward)
-        history["episode_best_rate"].append(best_rate)
-        history["loss"].append(float(np.mean(losses)) if losses else np.nan)
-    return history
+
+    def step(features):
+        action = dqn_act(agent, features, agent.epsilon(total_steps), rng)
+        outcome = env.step(action)
+        agent.global_step += 1
+        return np.int64(index_from_action(action)), outcome, outcome.reward
+
+    return run_episodes(env, episodes, rng, frozen_seed, agent.buffer,
+                        agent.config, step,
+                        lambda batch: dqn_train_step(agent, batch))

@@ -10,12 +10,14 @@ shared environment and a leakage penalty.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .. import neural
 from ..environment import NetworkEnv
+from .training import linear_schedule, q_td_step, run_episodes
 
 ORDER_METRICS = ("rsrq", "min_distance")
 
@@ -72,21 +74,7 @@ class CellAgent:
         return int(np.argmax(self.values(features)))
 
     def train_step(self, batch: neural.Batch) -> float:
-        c = self.config
-        bootstrap = neural.forward(self.target, batch.next_states).max(axis=1)
-        targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
-        out, cache = neural.forward_cached(self.online, batch.states)
-        rows = np.arange(out.shape[0])
-        acts = batch.actions.astype(np.int64)
-        loss, dloss = neural.huber(out[rows, acts] - targets)
-        upstream = np.zeros_like(out)
-        upstream[rows, acts] = dloss / out.shape[0]
-        grads = neural.backward_from_cache(self.online, cache, upstream)
-        neural.adam_step(self.opt, self.online.parameters(), grads)
-        self.train_calls += 1
-        if self.train_calls % c.target_sync == 0:
-            self.target.copy_from(self.online)
-        return float(loss.mean())
+        return q_td_step(self, batch)
 
 
 def rank_cells(env: NetworkEnv, metric: str = "rsrq",
@@ -164,40 +152,29 @@ def sequential_train(env: NetworkEnv, config: SequentialConfig = None,
     num_features = 5 * env.num_cells
     policies = {}
     history = {"phase_reward": []}
+    total_steps = config.episodes_per_agent * env.config.horizon
     for phase, cell in enumerate(order):
         agent = CellAgent(num_features, config, seed=int(rng.integers(2 ** 63)))
         trained = order[:phase]
-        total_steps = config.episodes_per_agent * env.config.horizon
-        step_idx = 0
-        phase_rewards = []
-        for _ in range(config.episodes_per_agent):
-            ep_seed = (frozen_seed if frozen_seed is not None
-                       else int(rng.integers(2 ** 63)))
-            features = env.reset(ep_seed)
-            done = False
-            ep_reward = 0.0
-            while not done:
-                moves = {m: policies[m].greedy_move(features) for m in trained}
-                ramp = max(int(config.eps_fraction * total_steps), 1)
-                frac = min(step_idx / ramp, 1.0)
-                eps = config.eps_start + frac * (config.eps_end - config.eps_start)
-                a = agent.act(features, eps, rng)
-                moves[cell] = ((a >> 1) & 1, a & 1)
-                outcome = env.step_cells(moves)
-                own_rate = float(outcome.info["rates"][cell])
-                shaped = own_rate - config.interference_weight * _leakage_cost(
-                    env, cell, trained)
-                agent.buffer.push(features, np.int64(a),
-                                  shaped * config.reward_scale,
-                                  outcome.features, outcome.done)
-                features = outcome.features
-                done = outcome.done
-                ep_reward += shaped
-                step_idx += 1
-                if len(agent.buffer) >= max(config.train_start, config.batch_size):
-                    agent.train_step(agent.buffer.sample(config.batch_size, rng))
-            phase_rewards.append(ep_reward)
+        step_idx = itertools.count()
+
+        def step(features):
+            moves = {m: policies[m].greedy_move(features) for m in trained}
+            eps = linear_schedule(config.eps_start, config.eps_end,
+                                  config.eps_fraction, next(step_idx),
+                                  total_steps)
+            a = agent.act(features, eps, rng)
+            moves[cell] = ((a >> 1) & 1, a & 1)
+            outcome = env.step_cells(moves)
+            shaped = (float(outcome.info["rates"][cell])
+                      - config.interference_weight
+                      * _leakage_cost(env, cell, trained))
+            return np.int64(a), outcome, shaped
+
+        phase_history = run_episodes(env, config.episodes_per_agent, rng,
+                                     frozen_seed, agent.buffer, config, step,
+                                     agent.train_step)
         policies[cell] = agent
-        history["phase_reward"].append(phase_rewards)
+        history["phase_reward"].append(phase_history["episode_reward"])
     return SequentialResult(order=tuple(order), policies=policies,
                             history=history)

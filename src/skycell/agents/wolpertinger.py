@@ -16,6 +16,7 @@ import numpy as np
 
 from .. import neural
 from ..environment import NetworkEnv, index_from_action
+from .training import linear_schedule, run_episodes
 
 
 def knn_actions(proto: np.ndarray, k: int) -> np.ndarray:
@@ -107,9 +108,8 @@ class WolpertingerAgent:
 
     def sigma(self, total_steps: int) -> float:
         c = self.config
-        ramp = max(int(c.sigma_fraction * total_steps), 1)
-        frac = min(self.global_step / ramp, 1.0)
-        return c.sigma_start + frac * (c.sigma_end - c.sigma_start)
+        return linear_schedule(c.sigma_start, c.sigma_end, c.sigma_fraction,
+                               self.global_step, total_steps)
 
 
 def wolpertinger_act(agent: WolpertingerAgent, features: np.ndarray,
@@ -221,30 +221,15 @@ def train_wolpertinger(env: NetworkEnv, agent: WolpertingerAgent,
                        episodes: int, rng: np.random.Generator,
                        frozen_seed: int = None) -> dict:
     """Noisy-proposal exploration with replay updates, mirroring train_dqn."""
-    c = agent.config
     total_steps = episodes * env.config.horizon
-    history = {"episode_reward": [], "episode_best_rate": []}
-    for _ in range(episodes):
-        seed = frozen_seed if frozen_seed is not None else int(rng.integers(2 ** 63))
-        features = env.reset(seed)
-        ep_reward = 0.0
-        best_rate = 0.0
-        done = False
-        while not done:
-            action = wolpertinger_act(agent, features,
-                                      sigma=agent.sigma(total_steps), rng=rng)
-            outcome = env.step(action)
-            agent.buffer.push(features, action.astype(np.float64),
-                              outcome.reward * c.reward_scale,
-                              outcome.features, outcome.done)
-            features = outcome.features
-            done = outcome.done
-            ep_reward += outcome.reward
-            best_rate = max(best_rate, outcome.info["sum_rate"])
-            agent.global_step += 1
-            if len(agent.buffer) >= max(c.train_start, c.batch_size):
-                batch = agent.buffer.sample(c.batch_size, rng)
-                wolpertinger_train_step(agent, batch)
-        history["episode_reward"].append(ep_reward)
-        history["episode_best_rate"].append(best_rate)
-    return history
+
+    def step(features):
+        action = wolpertinger_act(agent, features,
+                                  sigma=agent.sigma(total_steps), rng=rng)
+        outcome = env.step(action)
+        agent.global_step += 1
+        return action.astype(np.float64), outcome, outcome.reward
+
+    return run_episodes(env, episodes, rng, frozen_seed, agent.buffer,
+                        agent.config, step,
+                        lambda batch: wolpertinger_train_step(agent, batch)[0])

@@ -22,7 +22,7 @@ from .radio import (LinkBudget, MeasurementReport, PowerSet, TxConfig,
                     dft_codebook, noise_power_watts, probe_measurements)
 from .scenario import ScenarioConfig, build_layout, place_users
 
-REWARD_KINDS = ("global_sinr", "serving_snr", "measured_sinr", "rsrq", "compound")
+REWARD_KINDS = ("global_sinr", "serving_snr", "measured_sinr", "rsrq")
 _MEASUREMENT_KINDS = ("measured_sinr", "rsrq")
 
 
@@ -32,41 +32,19 @@ class RewardSpec:
 
     kind selects the family; gamma_min_db sets the per-cell threshold below or
     at which the whole step collapses to the flat penalty. The rsrq family is
-    a ratio in (0, 1] and carries no threshold. compound mixes other families
-    as weighted components (weights nonnegative, summing to one), each
-    thresholded on its own metric.
+    a ratio in (0, 1] and carries no threshold.
     """
 
     kind: str = "global_sinr"
     gamma_min_db: float = -3.0
     penalty: float = -1.0
-    components: tuple = ()
 
     def __post_init__(self):
         if self.kind not in REWARD_KINDS:
             raise ValueError(f"unknown reward kind {self.kind!r}")
-        if self.kind == "compound":
-            if not self.components:
-                raise ValueError("compound reward needs at least one component")
-            total_weight = 0.0
-            for sub, weight in self.components:
-                if sub not in REWARD_KINDS or sub == "compound":
-                    raise ValueError(f"bad compound component {sub!r}")
-                weight = float(weight)
-                if weight < 0.0:
-                    raise ValueError("compound weights must be nonnegative")
-                total_weight += weight
-            if abs(total_weight - 1.0) > 1e-9:
-                raise ValueError("compound weights must sum to 1")
-        elif self.components:
-            raise ValueError("components are only valid for compound rewards")
 
     def needs_measurements(self) -> bool:
-        if self.kind in _MEASUREMENT_KINDS:
-            return True
-        if self.kind == "compound":
-            return any(sub in _MEASUREMENT_KINDS for sub, _ in self.components)
-        return False
+        return self.kind in _MEASUREMENT_KINDS
 
 
 def _per_cell_values(kind: str, budgets, measurements) -> list:
@@ -89,10 +67,11 @@ def _per_cell_values(kind: str, budgets, measurements) -> list:
     raise ValueError(f"unknown reward kind {kind!r}")
 
 
-def _family_reward(kind: str, spec: RewardSpec, budgets, measurements,
-                   per_cell: bool):
-    vals = _per_cell_values(kind, budgets, measurements)
-    if kind != "rsrq":
+def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
+                 per_cell: bool = False):
+    """Reward value plus a flag saying whether the threshold fired."""
+    vals = _per_cell_values(spec.kind, budgets, measurements)
+    if spec.kind != "rsrq":
         threshold = 10.0 ** (spec.gamma_min_db / 10.0)
         if min(vals) <= threshold:
             return spec.penalty, True
@@ -100,20 +79,6 @@ def _family_reward(kind: str, spec: RewardSpec, budgets, measurements,
     if per_cell:
         total /= len(vals)
     return total, False
-
-
-def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
-                 per_cell: bool = False):
-    """Reward value plus a flag saying whether any threshold fired."""
-    if spec.kind != "compound":
-        return _family_reward(spec.kind, spec, budgets, measurements, per_cell)
-    total = 0.0
-    violated = False
-    for sub, weight in spec.components:
-        value, hit = _family_reward(sub, spec, budgets, measurements, per_cell)
-        total += float(weight) * value
-        violated = violated or hit
-    return total, violated
 
 
 def compute_reward(spec: RewardSpec, budgets=None, measurements=None, *,
@@ -231,7 +196,7 @@ class NetworkEnv:
     precomputes the (L, L, W) beam gain table once (channels do not move
     within an episode) and starts every cell at the middle power level with
     its best serving codeword from a sweep. All later SINR work is table
-    lookups through the compiled kernels.
+    lookups through the kernels.
     """
 
     def __init__(self, config: EnvConfig):

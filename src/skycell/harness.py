@@ -31,7 +31,9 @@ from .kernels import rx_powers
 from .scenario import ScenarioConfig
 
 _SIMPLE_METHODS = ("brute_force", "mrt", "random")
-_LEARNER_BASES = ("dqn", "wolpertinger", "sequential")
+_AGENT_CONFIGS = {"dqn": DqnConfig, "wolpertinger": WolpertingerConfig,
+                  "sequential": SequentialConfig}
+_LEARNER_BASES = tuple(_AGENT_CONFIGS)
 _REWARD_SUFFIXES = {
     "global": "global_sinr",
     "serving": "serving_snr",
@@ -114,9 +116,13 @@ class ExperimentConfig:
             raise ValueError("ccdf_points must be at least 2")
         if self.brute_force_cap < 1:
             raise ValueError("brute_force_cap must be positive")
-        for key in self.agent:
-            if key not in _LEARNER_BASES:
+        for key, overrides in self.agent.items():
+            if key not in _AGENT_CONFIGS:
                 raise ValueError(f"unknown agent override section {key!r}")
+            try:
+                _AGENT_CONFIGS[key](**overrides)
+            except TypeError as exc:
+                raise ValueError(f"bad agent override for {key!r}: {exc}") from exc
         return self
 
     @classmethod
@@ -273,29 +279,26 @@ def _frozen_seed(config, num_cells, seed_index):
 def _run_learner(config, table, env, method, base, num_cells, seed_index, rng):
     frozen = _frozen_seed(config, num_cells, seed_index)
     overrides = dict(config.agent.get(base, {}))
-    try:
-        if base == "dqn":
-            agent = DqnAgent(5 * num_cells, num_cells,
-                             DqnConfig(**overrides),
-                             seed=int(rng.integers(2 ** 63)))
-            train_dqn(env, agent, config.train_episodes, rng, frozen_seed=frozen)
-            act_fn = lambda f: dqn_act(agent, f, 0.0)
-        elif base == "wolpertinger":
-            agent = WolpertingerAgent(5 * num_cells, num_cells,
-                                      WolpertingerConfig(**overrides),
-                                      seed=int(rng.integers(2 ** 63)))
-            train_wolpertinger(env, agent, config.train_episodes, rng,
-                               frozen_seed=frozen)
-            act_fn = lambda f: wolpertinger_act(agent, f)
-        else:
-            overrides.setdefault("episodes_per_agent",
-                                 max(1, config.train_episodes // num_cells))
-            result = sequential_train(env, SequentialConfig(**overrides),
-                                      seed=int(rng.integers(2 ** 63)),
-                                      frozen_seed=frozen)
-            act_fn = result.joint_action
-    except TypeError as exc:
-        raise ValueError(f"bad agent override for {base!r}: {exc}") from exc
+    if base == "dqn":
+        agent = DqnAgent(5 * num_cells, num_cells,
+                         DqnConfig(**overrides),
+                         seed=int(rng.integers(2 ** 63)))
+        train_dqn(env, agent, config.train_episodes, rng, frozen_seed=frozen)
+        act_fn = lambda f: dqn_act(agent, f, 0.0)
+    elif base == "wolpertinger":
+        agent = WolpertingerAgent(5 * num_cells, num_cells,
+                                  WolpertingerConfig(**overrides),
+                                  seed=int(rng.integers(2 ** 63)))
+        train_wolpertinger(env, agent, config.train_episodes, rng,
+                           frozen_seed=frozen)
+        act_fn = lambda f: wolpertinger_act(agent, f)
+    else:
+        overrides.setdefault("episodes_per_agent",
+                             max(1, config.train_episodes // num_cells))
+        result = sequential_train(env, SequentialConfig(**overrides),
+                                  seed=int(rng.integers(2 ** 63)),
+                                  frozen_seed=frozen)
+        act_fn = result.joint_action
     rates, rewards = [], []
     for es in _eval_seeds(config, num_cells, seed_index):
         record = greedy_rollout(env, act_fn, es)

@@ -1,45 +1,20 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels, vectorized with numpy.
 
-Every kernel exists twice: a loop version meant for ``numba.njit`` and a
-vectorized numpy version. Which one backs the public names is decided once at
-import time: numba is used when it imports cleanly, unless the environment
-variable ``SKYCELL_NUMBA`` is set to ``0``, ``false`` or ``off``. Both
-implementations stay importable (``*_numpy`` / ``*_numba``) so they can be
-cross-checked and benchmarked against each other.
-
-Arithmetic in the two paths is ordered identically (interference accumulated
-over transmitters in ascending index) so results agree to rounding error.
+Interference is accumulated over transmitters in ascending index, so every
+caller sees the same rounding.
 """
-
-import os
 
 import numpy as np
 
-
-def numba_requested() -> bool:
-    flag = os.environ.get("SKYCELL_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-def _load_numba():
-    if not numba_requested():
-        return None
-    try:
-        import numba
-    except ImportError:
-        return None
-    return numba
-
-
-_nb = _load_numba()
-NUMBA_ENABLED = _nb is not None
+# no compiled path exists; kept because perfbench/run.py's fingerprint reads it
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
 # beam gain table: G[j, l, w] = |h[j, l]^H c_w|^2
 
 
-def beam_gains_numpy(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
+def beam_gains(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """Gain of every (transmitter j, user l, codeword w) triple.
 
     h has shape (L, L, M) with h[j, l] the channel from transmitter j to the
@@ -50,27 +25,11 @@ def beam_gains_numpy(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     return (amp.real * amp.real + amp.imag * amp.imag).astype(np.float64)
 
 
-def _beam_gains_loop(h, codewords):
-    n_tx = h.shape[0]
-    n_rx = h.shape[1]
-    n_ant = h.shape[2]
-    n_cw = codewords.shape[0]
-    out = np.empty((n_tx, n_rx, n_cw), np.float64)
-    for j in range(n_tx):
-        for l in range(n_rx):
-            for w in range(n_cw):
-                acc = 0.0j
-                for m in range(n_ant):
-                    acc += np.conj(h[j, l, m]) * codewords[w, m]
-                out[j, l, w] = acc.real * acc.real + acc.imag * acc.imag
-    return out
-
-
 # ---------------------------------------------------------------------------
 # received powers for one transmit configuration
 
 
-def rx_powers_numpy(gains, p_watts, beams):
+def rx_powers(gains, p_watts, beams):
     """Per-cell signal and interference power for one configuration.
 
     gains is the (L, L, W) table from beam_gains, p_watts the per-cell
@@ -85,23 +44,6 @@ def rx_powers_numpy(gains, p_watts, beams):
         total += contrib
         signal[j] = contrib[j]
     return signal, total - signal
-
-
-def _rx_powers_loop(gains, p_watts, beams):
-    n = gains.shape[0]
-    signal = np.empty(n, np.float64)
-    interference = np.empty(n, np.float64)
-    for l in range(n):
-        tot = 0.0
-        sig = 0.0
-        for j in range(n):
-            c = p_watts[j] * gains[j, l, beams[j]]
-            tot += c
-            if j == l:
-                sig = c
-        signal[l] = sig
-        interference[l] = tot - sig
-    return signal, interference
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +68,7 @@ def decode_config(code, n_cells, n_power, n_beams):
     return powers, beams
 
 
-def brute_force_numpy(gains, p_watts, noise_w, chunk=1 << 15):
+def brute_force(gains, p_watts, noise_w, chunk=1 << 15):
     """Best joint configuration by exhaustive enumeration, vectorized.
 
     Returns (best_sum_rate, best_code, num_evaluated) where best_code encodes
@@ -163,71 +105,3 @@ def brute_force_numpy(gains, p_watts, noise_w, chunk=1 << 15):
             best_rate = float(rates[k])
             best_code = int(codes[k])
     return best_rate, best_code, total
-
-
-def _brute_force_loop(gains, p_watts, noise_w):
-    n_cells = gains.shape[0]
-    n_beams = gains.shape[2]
-    n_power = p_watts.shape[0]
-    total = 1
-    for _ in range(n_cells):
-        total *= n_power * n_beams
-
-    powers = np.empty(n_cells, np.int64)
-    beams = np.empty(n_cells, np.int64)
-    best_rate = -1.0
-    best_code = np.int64(-1)
-    for code in range(total):
-        rem = code
-        for i in range(n_cells - 1, -1, -1):
-            beams[i] = rem % n_beams
-            rem //= n_beams
-        for i in range(n_cells - 1, -1, -1):
-            powers[i] = rem % n_power
-            rem //= n_power
-        srate = 0.0
-        for l in range(n_cells):
-            tot = 0.0
-            sig = 0.0
-            for j in range(n_cells):
-                c = p_watts[powers[j]] * gains[j, l, beams[j]]
-                tot += c
-                if j == l:
-                    sig = c
-            srate += np.log2(1.0 + sig / (tot - sig + noise_w))
-        if srate > best_rate:
-            best_rate = srate
-            best_code = np.int64(code)
-    return best_rate, int(best_code), total
-
-
-# ---------------------------------------------------------------------------
-# path selection
-
-if NUMBA_ENABLED:
-    beam_gains_numba = _nb.njit(cache=True)(_beam_gains_loop)
-    rx_powers_numba = _nb.njit(cache=True)(_rx_powers_loop)
-    brute_force_numba = _nb.njit(cache=True)(_brute_force_loop)
-
-    beam_gains = beam_gains_numba
-    rx_powers = rx_powers_numba
-
-    def brute_force(gains, p_watts, noise_w):
-        return brute_force_numba(gains, p_watts, noise_w)
-else:
-    beam_gains_numba = None
-    rx_powers_numba = None
-    brute_force_numba = None
-
-    beam_gains = beam_gains_numpy
-    rx_powers = rx_powers_numpy
-    brute_force = brute_force_numpy
-
-
-def warmup():
-    """Trigger jit compilation on tiny inputs so later calls are timed fairly."""
-    h = np.ones((1, 1, 2), np.complex128)
-    cw = np.ones((2, 2), np.complex128)
-    g = beam_gains(h, cw)
-    rx_powers(g, np.ones(1), np.zeros(1, np.int64))
-    brute_force(g, np.ones(2), 1.0)

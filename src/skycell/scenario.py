@@ -21,11 +21,6 @@ class Vec3(NamedTuple):
     z: float
 
 
-def link_distance(a: Vec3, b: Vec3) -> float:
-    """Euclidean distance between two points in meters."""
-    return math.sqrt((a.x - b.x) ** 2 + (a.y - b.y) ** 2 + (a.z - b.z) ** 2)
-
-
 @dataclass(frozen=True)
 class ScenarioConfig:
     num_cells: int = 1
@@ -34,7 +29,6 @@ class ScenarioConfig:
     user_altitude_range_m: tuple = (50.0, 120.0)
     user_placement: str = "uniform"
     los_probability: float = 0.8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.num_cells < 1:
@@ -95,12 +89,6 @@ class ScenarioRealization:
     def num_cells(self) -> int:
         return len(self.bs_positions)
 
-    def bs_array(self) -> np.ndarray:
-        return np.array([tuple(p) for p in self.bs_positions], np.float64)
-
-    def user_array(self) -> np.ndarray:
-        return np.array([tuple(p) for p in self.user_positions], np.float64)
-
 
 def place_users(config: ScenarioConfig, layout: list[Vec3],
                 rng: np.random.Generator) -> ScenarioRealization:
@@ -133,9 +121,3 @@ def place_users(config: ScenarioConfig, layout: list[Vec3],
         serving=tuple(range(n)),
         los=los,
     )
-
-
-def realize(config: ScenarioConfig) -> ScenarioRealization:
-    """Convenience wrapper seeding a fresh generator from the config."""
-    rng = np.random.default_rng(config.rng_seed)
-    return place_users(config, build_layout(config), rng)

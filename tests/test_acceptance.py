@@ -180,9 +180,9 @@ def test_criterion_5_full_k_search_is_exhaustive_and_calls_stay_bounded():
             assert agent.last_act_evals <= k
 
 
-def _frozen_env(num_cells, horizon=25, seed=0):
+def _frozen_env(num_cells, horizon=25):
     return NetworkEnv(EnvConfig(
-        scenario=ScenarioConfig(num_cells=num_cells, rng_seed=seed),
+        scenario=ScenarioConfig(num_cells=num_cells),
         power_levels_dbm=(27.0, 28.0, 29.0, 30.0),
         codebook_size=8,
         horizon=horizon,

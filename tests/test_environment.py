@@ -67,40 +67,13 @@ def test_rsrq_reward_carries_no_threshold():
     assert not violated
 
 
-def test_compound_mixes_components_and_flags():
-    budgets = _budgets([0.4, 3.0], [10.0, 30.0])
-    spec = RewardSpec(kind="compound", gamma_min_db=-3.0,
-                      components=(("global_sinr", 0.25),
-                                  ("serving_snr", 0.75)))
-    # global family trips its threshold (0.4 < 0.501), serving does not
-    value, violated = reward_terms(spec, budgets)
-    np.testing.assert_allclose(value, 0.25 * -1.0 + 0.75 * 40.0)
-    assert violated
-
-    healthy = _budgets([1.0, 3.0], [10.0, 30.0])
-    value, violated = reward_terms(spec, healthy)
-    np.testing.assert_allclose(value, 0.25 * 4.0 + 0.75 * 40.0)
-    assert not violated
-
-
 def test_reward_spec_validation():
-    with pytest.raises(ValueError):
-        RewardSpec(kind="throughput")
-    with pytest.raises(ValueError):
-        RewardSpec(kind="compound", components=())
-    with pytest.raises(ValueError):
-        RewardSpec(kind="compound", components=(("compound", 1.0),))
-    with pytest.raises(ValueError):
-        RewardSpec(kind="compound", components=(("global_sinr", 0.5),
-                                                ("rsrq", 0.6)))
-    with pytest.raises(ValueError):
-        RewardSpec(kind="compound", components=(("global_sinr", -0.2),
-                                                ("rsrq", 1.2)))
-    with pytest.raises(ValueError):
-        RewardSpec(kind="global_sinr", components=(("rsrq", 1.0),))
-    assert RewardSpec(kind="compound",
-                      components=(("global_sinr", 0.5),
-                                  ("rsrq", 0.5))).needs_measurements()
+    for kind in ("throughput", "compound"):
+        with pytest.raises(ValueError):
+            RewardSpec(kind=kind)
+    assert RewardSpec(kind="measured_sinr").needs_measurements()
+    assert RewardSpec(kind="rsrq").needs_measurements()
+    assert not RewardSpec(kind="global_sinr").needs_measurements()
     assert not RewardSpec(kind="serving_snr").needs_measurements()
 
 

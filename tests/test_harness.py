@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from skycell import harness
 from skycell.cli import main as cli_main
 from skycell.environment import NetworkEnv
 from skycell.harness import (ExperimentConfig, _eval_seeds, ccdf,
@@ -100,6 +101,20 @@ def test_config_validation_errors():
     for overrides in bad:
         with pytest.raises(ValueError):
             _tiny_config(**overrides)
+
+
+@pytest.mark.parametrize("base", ["dqn", "wolpertinger", "sequential"])
+def test_bad_agent_override_fails_before_any_work(base, monkeypatch):
+    data = {"methods": ["brute_force", base], "agent": {base: {"bogus": 1}}}
+    with pytest.raises(ValueError, match="bad agent override"):
+        ExperimentConfig.from_dict(data)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("grid work started before validation")
+
+    monkeypatch.setattr(harness, "brute_force_search", no_search)
+    with pytest.raises(ValueError, match="bad agent override"):
+        run_experiment(ExperimentConfig(**data))
 
 
 def test_config_from_dict_rejects_unknown_keys():
@@ -250,6 +265,33 @@ def test_rerun_is_byte_identical(tmp_path):
     assert names == sorted(os.listdir(second))
     for name in names:
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def test_seed_offset_shards_add_up_to_the_unsharded_run(tmp_path):
+    grid = dict(cell_counts=(2,), methods=("random", "brute_force", "dqn"),
+                train_episodes=2,
+                agent={"dqn": {"hidden": (8,), "batch_size": 4,
+                               "train_start": 8}})
+
+    def summary_rows(tag, **overrides):
+        cfg = _tiny_config(**grid, **overrides)
+        out = tmp_path / tag
+        write_outputs(run_experiment(cfg), str(out), cfg)
+        return (out / "summary.csv").read_text().splitlines()
+
+    whole = summary_rows("whole", num_seeds=2)
+    shards = [summary_rows(f"shard{k}", num_seeds=1, seed_offset=k)
+              for k in range(2)]
+    assert all(rows[0] == whole[0] for rows in shards)
+
+    def grid_order(line):
+        method, num_cells, seed = line.split(",")[:3]
+        return (grid["cell_counts"].index(int(num_cells)),
+                grid["methods"].index(method), int(seed))
+
+    merged = sorted(shards[0][1:] + shards[1][1:], key=grid_order)
+    assert len(merged) == 6
+    assert merged == whole[1:]
 
 
 def test_config_echo_reproduces_run(tiny_run, tmp_path):

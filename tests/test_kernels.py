@@ -1,25 +1,17 @@
-"""Compiled and fallback kernel paths must agree on every result."""
+"""Kernels against direct per-element computations and exhaustive search."""
 
 import itertools
-import os
-import subprocess
-import sys
 
 import numpy as np
-import pytest
 
 from helpers import drawn_channels
 from skycell import kernels
 from skycell.radio import PowerSet, dft_codebook
 
-needs_numba = pytest.mark.skipif(not kernels.NUMBA_ENABLED,
-                                 reason="numba path disabled or unavailable")
-
-
 def _instance(seed, num_cells=3, num_antennas=4, codebook_size=8, num_levels=4):
     _, channels = drawn_channels(seed, num_cells, num_antennas)
     codebook = dft_codebook(num_antennas, codebook_size)
-    gains = kernels.beam_gains_numpy(channels.h, codebook.codewords)
+    gains = kernels.beam_gains(channels.h, codebook.codewords)
     p_watts = PowerSet(np.arange(27.0, 27.0 + num_levels)).watts()
     return channels, codebook, gains, p_watts
 
@@ -43,7 +35,7 @@ def test_rx_powers_match_manual_sums():
     for _ in range(20):
         p_idx = rng.integers(0, p_watts.size, n)
         beams = rng.integers(0, gains.shape[2], n)
-        signal, interference = kernels.rx_powers_numpy(
+        signal, interference = kernels.rx_powers(
             gains, p_watts[p_idx], beams)
         for l in range(n):
             contrib = [p_watts[p_idx[j]] * gains[j, l, beams[j]]
@@ -63,7 +55,7 @@ def test_decode_config_inverts_lexicographic_enumeration():
         assert tuple(powers) + tuple(beams) == want
 
 
-def test_brute_force_numpy_matches_python_enumeration():
+def test_brute_force_matches_python_enumeration():
     channels, codebook, gains, p_watts = _instance(3, num_cells=2,
                                                    codebook_size=4)
     noise = 3e-12
@@ -82,8 +74,7 @@ def test_brute_force_numpy_matches_python_enumeration():
         if rate > best_rate:
             best_rate = rate
             best_code = code
-    got_rate, got_code, evaluated = kernels.brute_force_numpy(gains, p_watts,
-                                                              noise)
+    got_rate, got_code, evaluated = kernels.brute_force(gains, p_watts, noise)
     assert got_code == best_code
     assert evaluated == (p_watts.size * codebook.size) ** n
     np.testing.assert_allclose(got_rate, best_rate, rtol=1e-9)
@@ -92,61 +83,16 @@ def test_brute_force_numpy_matches_python_enumeration():
 def test_brute_force_chunk_boundaries_do_not_change_the_winner():
     _, _, gains, p_watts = _instance(4, num_cells=2, codebook_size=4)
     noise = 3e-12
-    reference = kernels.brute_force_numpy(gains, p_watts, noise)
+    reference = kernels.brute_force(gains, p_watts, noise)
     for chunk in (1, 7, 64, 10 ** 6):
-        assert kernels.brute_force_numpy(gains, p_watts, noise,
-                                         chunk=chunk) == reference
+        assert kernels.brute_force(gains, p_watts, noise,
+                                   chunk=chunk) == reference
 
 
 def test_brute_force_tie_resolves_to_smallest_code():
     # an all-zero channel rates every configuration at exactly zero
     gains = np.zeros((2, 2, 4))
     p_watts = np.array([0.5, 1.0])
-    rate, code, evaluated = kernels.brute_force_numpy(gains, p_watts, 3e-12)
+    rate, code, evaluated = kernels.brute_force(gains, p_watts, 3e-12)
     assert (rate, code) == (0.0, 0)
     assert evaluated == (2 * 4) ** 2
-
-
-@needs_numba
-def test_numba_paths_agree_with_numpy():
-    channels, codebook, _, p_watts = _instance(5)
-    gains_np = kernels.beam_gains_numpy(channels.h, codebook.codewords)
-    gains_nb = kernels.beam_gains_numba(channels.h, codebook.codewords)
-    np.testing.assert_allclose(gains_nb, gains_np, rtol=1e-12)
-
-    rng = np.random.default_rng(6)
-    n = channels.num_cells
-    for _ in range(10):
-        p_idx = rng.integers(0, p_watts.size, n)
-        beams = rng.integers(0, codebook.size, n)
-        s_np, i_np = kernels.rx_powers_numpy(gains_np, p_watts[p_idx], beams)
-        s_nb, i_nb = kernels.rx_powers_numba(gains_np, p_watts[p_idx], beams)
-        np.testing.assert_array_equal(s_nb, s_np)
-        np.testing.assert_array_equal(i_nb, i_np)
-
-
-@needs_numba
-def test_numba_brute_force_agrees_including_ties():
-    _, _, gains, p_watts = _instance(7, num_cells=2, codebook_size=4)
-    noise = 3e-12
-    r_np, c_np, n_np = kernels.brute_force_numpy(gains, p_watts, noise)
-    r_nb, c_nb, n_nb = kernels.brute_force_numba(gains, p_watts, noise)
-    assert (c_nb, n_nb) == (c_np, n_np)
-    np.testing.assert_allclose(r_nb, r_np, rtol=1e-12)
-
-    flat = np.zeros((2, 2, 4))
-    assert kernels.brute_force_numba(flat, p_watts, noise)[1] == 0
-
-
-def test_env_flag_selects_the_fallback_path():
-    code = ("import skycell.kernels as k; "
-            "assert not k.NUMBA_ENABLED; "
-            "assert k.brute_force is k.brute_force_numpy; "
-            "assert k.beam_gains is k.beam_gains_numpy; "
-            "k.warmup()")
-    env = dict(os.environ, SKYCELL_NUMBA="0")
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
-
-
-def test_warmup_runs_on_the_selected_path():
-    kernels.warmup()

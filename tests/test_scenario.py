@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from skycell.channel import link_distance_3d
 from skycell.scenario import (ScenarioConfig, Vec3, _hex_spiral, build_layout,
-                              link_distance, place_users, realize)
+                              place_users)
 
 
 def test_single_cell_sits_at_origin_mast_height():
@@ -17,7 +18,7 @@ def test_single_cell_sits_at_origin_mast_height():
 def test_neighbor_spacing_is_sqrt3_radius():
     config = ScenarioConfig(num_cells=2, cell_radius_m=200.0)
     a, b = build_layout(config)
-    np.testing.assert_allclose(link_distance(a, b),
+    np.testing.assert_allclose(link_distance_3d(a, b),
                                math.sqrt(3.0) * 200.0, rtol=1e-12)
 
 
@@ -27,12 +28,12 @@ def test_seven_cells_form_center_plus_ring():
     spacing = math.sqrt(3.0) * 150.0
     center = layout[0]
     for other in layout[1:]:
-        np.testing.assert_allclose(link_distance(center, other), spacing,
+        np.testing.assert_allclose(link_distance_3d(center, other), spacing,
                                    rtol=1e-12)
     # every pair at least one lattice spacing apart
     for i in range(7):
         for j in range(i + 1, 7):
-            assert link_distance(layout[i], layout[j]) >= spacing - 1e-9
+            assert link_distance_3d(layout[i], layout[j]) >= spacing - 1e-9
 
 
 def test_hex_spiral_starts_at_center_without_duplicates():
@@ -66,7 +67,8 @@ def test_cell_edge_placement_uses_the_outer_annulus():
 
 
 def test_each_user_is_served_by_its_own_cell():
-    real = realize(ScenarioConfig(num_cells=5))
+    config = ScenarioConfig(num_cells=5)
+    real = place_users(config, build_layout(config), np.random.default_rng(0))
     assert real.serving == (0, 1, 2, 3, 4)
 
 
@@ -94,7 +96,8 @@ def test_same_generator_state_reproduces_the_instance():
 
 
 def test_realization_arrays_are_read_only():
-    real = realize(ScenarioConfig(num_cells=2))
+    config = ScenarioConfig(num_cells=2)
+    real = place_users(config, build_layout(config), np.random.default_rng(0))
     with pytest.raises(ValueError):
         real.los[0, 0] = True
 

@@ -13,9 +13,9 @@ from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.scenario import ScenarioConfig
 
 
-def _env(num_cells, horizon=25, seed=0):
+def _env(num_cells, horizon=25):
     return NetworkEnv(EnvConfig(
-        scenario=ScenarioConfig(num_cells=num_cells, rng_seed=seed),
+        scenario=ScenarioConfig(num_cells=num_cells),
         power_levels_dbm=(27.0, 28.0, 29.0, 30.0),
         codebook_size=8,
         horizon=horizon,
