@@ -3,8 +3,8 @@
 from .q_table import QTable, q_update
 from .dqn import DqnAgent, DqnConfig, dqn_act, dqn_train_step, train_dqn
 from .wolpertinger import (WolpertingerAgent, WolpertingerConfig, knn_actions,
-                           wolpertinger_act, wolpertinger_train_step,
-                           train_wolpertinger)
+                           knn_actions_batch, wolpertinger_act,
+                           wolpertinger_train_step, train_wolpertinger)
 from .sequential import (SequentialConfig, SequentialResult, rank_cells,
                          sequential_train)
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -13,7 +13,8 @@ __all__ = [
     "QTable", "q_update",
     "DqnAgent", "DqnConfig", "dqn_act", "dqn_train_step", "train_dqn",
     "WolpertingerAgent", "WolpertingerConfig", "knn_actions",
-    "wolpertinger_act", "wolpertinger_train_step", "train_wolpertinger",
+    "knn_actions_batch", "wolpertinger_act", "wolpertinger_train_step",
+    "train_wolpertinger",
     "SequentialConfig", "SequentialResult", "rank_cells", "sequential_train",
     "load_checkpoint", "save_checkpoint",
 ]

@@ -9,6 +9,7 @@ selection exactly.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
@@ -19,22 +20,73 @@ from ..environment import NetworkEnv, index_from_action
 from .training import linear_schedule, run_episodes
 
 
+# Widest proto-action scored densely over all 2^d corners: for a batch of 32
+# at k=8, dense against heap measured 0.65 vs 3.4 ms at d=8, 2.3 vs 2.7 ms at
+# d=10 (0.086 vs 0.073 ms for one row) and 10.8 vs 4.4 ms at d=12.
+DENSE_MAX_WIDTH = 8
+
+
 def knn_actions(proto: np.ndarray, k: int) -> np.ndarray:
     """The k hypercube corners nearest to proto in Euclidean distance.
 
-    Corners are generated lazily in ascending distance by flipping coordinates
-    of the rounded corner in ascending flip-cost order, so the call stays
-    cheap even when 2^d is huge. Exact-distance ties resolve toward the lower
-    binary corner index; the frontier of equal-distance corners is expanded
-    past k (up to a large cap) to make that tie rule exact.
+    A corner's extra squared distance over the rounded corner is the sum of
+    the flip costs |1 - 2 p_i| of the coordinates it flips, added in
+    ascending flip-cost order. Up to DENSE_MAX_WIDTH dimensions every corner
+    is scored at once; above it corners are generated lazily in ascending
+    cost from a heap, so the call stays cheap even when 2^d is huge. Both
+    compute the same float costs, and exact-distance ties resolve toward the
+    lower binary corner index (the heap expands its frontier of equal-cost
+    corners past k, up to a large cap, to make that rule exact).
     """
     proto = np.asarray(proto, np.float64).ravel()
-    d = proto.size
+    return knn_actions_batch(proto[None, :], k)[0]
+
+
+def knn_actions_batch(protos: np.ndarray, k: int) -> np.ndarray:
+    """knn_actions for each row of an (n, d) batch, as an (n, k, d) array."""
+    protos = np.asarray(protos, np.float64)
+    if protos.ndim != 2:
+        raise ValueError("proto-actions must form an (n, d) array")
+    n, d = protos.shape
     if d < 1 or d > 62:
         raise ValueError("proto-action dimension out of supported range")
     if not 1 <= k <= (1 << d):
         raise ValueError(f"k must lie in [1, 2^{d}]")
-    base = (proto > 0.5).astype(np.int64)  # half rounds down, toward index 0
+    if d <= DENSE_MAX_WIDTH:
+        return _knn_dense(protos, k)
+    return np.array([_knn_heap(p, k) for p in protos],
+                    np.int64).reshape(n, k, d)
+
+
+@functools.lru_cache(maxsize=DENSE_MAX_WIDTH)
+def _corner_table(d: int) -> np.ndarray:
+    """All 2^d corners in binary index order, built as enumerate_actions."""
+    shifts = np.arange(d - 1, -1, -1)
+    table = (np.arange(1 << d)[:, None] >> shifts[None, :]) & 1
+    table.flags.writeable = False
+    return table
+
+
+def _knn_dense(protos: np.ndarray, k: int) -> np.ndarray:
+    corners = _corner_table(protos.shape[1])
+    base = protos > 0.5  # half rounds down, toward index 0
+    flip_cost = np.abs(1.0 - 2.0 * protos)
+    order = np.argsort(flip_cost, axis=1, kind="stable")
+    sorted_cost = np.take_along_axis(flip_cost, order, axis=1)
+    # flips[r, j, c]: corner c flips the j-th cheapest coordinate of row r
+    flips = (corners.T.astype(bool)[order]
+             ^ np.take_along_axis(base, order, axis=1)[:, :, None])
+    # add the flip costs in ascending order, exactly the heap's float sums
+    cost = flips[:, 0] * sorted_cost[:, :1]
+    for j in range(1, protos.shape[1]):
+        cost += flips[:, j] * sorted_cost[:, j:j + 1]
+    nearest = np.argsort(cost, axis=1, kind="stable")[:, :k]
+    return corners[nearest]
+
+
+def _knn_heap(proto: np.ndarray, k: int) -> np.ndarray:
+    d = proto.size
+    base = (proto > 0.5).astype(np.int64)
     flip_cost = np.abs(1.0 - 2.0 * proto)  # extra squared distance, simplified
     order = np.argsort(flip_cost, kind="stable")
     heap = [(0.0, ())]
@@ -184,22 +236,11 @@ def wolpertinger_train_step(agent: WolpertingerAgent,
     # bootstrap action: target actor proposes, target critic refines over k
     proto_next = neural.forward(agent.actor_target, batch.next_states)
     proto_next = 1.0 / (1.0 + np.exp(-proto_next))
-    cand_rows = []
-    state_rows = []
-    counts = []
-    for i in range(n):
-        cands = knn_actions(proto_next[i], c.k)
-        counts.append(cands.shape[0])
-        cand_rows.append(cands.astype(np.float64))
-        state_rows.append(np.tile(batch.next_states[i], (cands.shape[0], 1)))
-    x_next = np.concatenate([np.concatenate(state_rows, axis=0),
-                             np.concatenate(cand_rows, axis=0)], axis=1)
+    cands = knn_actions_batch(proto_next, c.k).reshape(n * c.k, -1)
+    x_next = np.concatenate([np.repeat(batch.next_states, c.k, axis=0),
+                             cands.astype(np.float64)], axis=1)
     q_next = neural.forward(agent.critic_target, x_next)[:, 0]
-    bootstrap = np.empty(n)
-    off = 0
-    for i, cnt in enumerate(counts):
-        bootstrap[i] = q_next[off:off + cnt].max()
-        off += cnt
+    bootstrap = q_next.reshape(n, c.k).max(axis=1)
     targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
 
     x = np.concatenate([batch.states, batch.actions.astype(np.float64)], axis=1)

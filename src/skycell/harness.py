@@ -104,8 +104,6 @@ class ExperimentConfig:
             raise ValueError("cell_counts must be nonempty positive integers")
         if not self.methods:
             raise ValueError("methods must be nonempty")
-        for m in self.methods:
-            parse_method(m)
         if self.num_seeds < 1 or self.seed_offset < 0:
             raise ValueError("need num_seeds >= 1 and seed_offset >= 0")
         if self.train_episodes < 1 or self.eval_episodes < 1:
@@ -123,6 +121,16 @@ class ExperimentConfig:
                 _AGENT_CONFIGS[key](**overrides)
             except TypeError as exc:
                 raise ValueError(f"bad agent override for {key!r}: {exc}") from exc
+        k = WolpertingerConfig(**self.agent.get("wolpertinger", {})).k
+        for m in self.methods:
+            base, kind = parse_method(m)
+            for num_cells in self.cell_counts:
+                self.env_config(int(num_cells), kind)
+                width = 2 * int(num_cells)
+                if base == "wolpertinger" and not 1 <= k <= 1 << width:
+                    raise ValueError(
+                        f"agent.wolpertinger.k={k} must lie in [1, 2^{width}] "
+                        f"at L={num_cells}")
         return self
 
     @classmethod

@@ -97,6 +97,9 @@ def test_config_validation_errors():
         dict(cell_counts=()),
         dict(cell_counts=(0,)),
         dict(agent={"sarsa": {}}),
+        dict(user_placement="nowhere"),
+        dict(los_probability=1.5),
+        dict(num_antennas=0),
     ]
     for overrides in bad:
         with pytest.raises(ValueError):
@@ -114,6 +117,27 @@ def test_bad_agent_override_fails_before_any_work(base, monkeypatch):
 
     monkeypatch.setattr(harness, "brute_force_search", no_search)
     with pytest.raises(ValueError, match="bad agent override"):
+        run_experiment(ExperimentConfig(**data))
+
+
+@pytest.mark.parametrize("method", ["wolpertinger", "wolpertinger_rsrq"])
+def test_wolpertinger_k_must_fit_every_cell_count(method, monkeypatch):
+    # the default k=8 fits the 16 actions at L=2 but not the 4 at L=1
+    data = {"cell_counts": [2, 1], "methods": ["brute_force", method]}
+    with pytest.raises(ValueError, match=r"agent\.wolpertinger\.k=8 .* L=1"):
+        ExperimentConfig.from_dict(data)
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="agent.wolpertinger.k"):
+            ExperimentConfig.from_dict(
+                {**data, "agent": {"wolpertinger": {"k": k}}})
+    ExperimentConfig.from_dict({**data, "agent": {"wolpertinger": {"k": 4}}})
+    ExperimentConfig.from_dict({**data, "methods": ["dqn"]})
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("grid work started before validation")
+
+    monkeypatch.setattr(harness, "brute_force_search", no_search)
+    with pytest.raises(ValueError, match="agent.wolpertinger.k"):
         run_experiment(ExperimentConfig(**data))
 
 

@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 
 from skycell.agents.dqn import DqnAgent, DqnConfig, dqn_act, train_dqn
-from skycell.agents.wolpertinger import (WolpertingerAgent, WolpertingerConfig,
+from skycell.agents.wolpertinger import (DENSE_MAX_WIDTH, WolpertingerAgent,
+                                         WolpertingerConfig, _knn_dense,
+                                         _knn_heap, _soft_update,
                                          actor_gradients,
                                          actor_objective_update, knn_actions,
+                                         knn_actions_batch,
                                          train_wolpertinger, wolpertinger_act,
                                          wolpertinger_train_step)
 from skycell.baselines import brute_force_search
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
-from skycell.neural import Batch, forward
+from skycell.neural import (Batch, adam_step, backward_from_cache, forward,
+                            forward_cached, huber)
 from skycell.scenario import ScenarioConfig
 
 
@@ -46,21 +50,64 @@ def test_knn_full_k_returns_entire_action_set():
 
 def test_knn_matches_exhaustive_enumeration():
     rng = np.random.default_rng(0)
-    for d in (2, 4, 6):
+    for d in (1, 2, 3, 4, 5, 6, 8, 10):
         for _ in range(25):
             proto = rng.random(d)
-            for k in (1, 3, 1 << d):
+            for k in (1, min(3, 1 << d), 1 << d):
                 out = knn_actions(proto, k)
                 assert out.tolist() == _knn_oracle(proto, k).tolist()
 
 
+def _tie_heavy_protos(rng, n, d):
+    """Protos on which exact-distance ties are common, plus plain ones."""
+    return np.concatenate([
+        rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], size=(n, d)),
+        np.round(rng.random((n, d)), 2),
+        1.0 / (1.0 + np.exp(-rng.normal(0.0, 40.0, (n, d)))),  # saturated
+        rng.random((n, d)),
+    ])
+
+
+def test_knn_dense_and_heap_paths_agree():
+    assert DENSE_MAX_WIDTH >= 8
+    rng = np.random.default_rng(11)
+    for d in range(1, 9):
+        protos = _tie_heavy_protos(rng, 40, d)
+        for k in sorted({1, min(3, 1 << d), min(8, 1 << d), (1 << d) - 1,
+                         1 << d}):
+            dense = _knn_dense(protos, k)
+            for proto, row in zip(protos, dense):
+                assert np.array_equal(row, _knn_heap(proto, k))
+
+
+@pytest.mark.parametrize("d", [2, 5, 8, 10, 12])
+def test_knn_batch_rows_match_single_calls(d):
+    rng = np.random.default_rng(d)
+    protos = _tie_heavy_protos(rng, 6, d)
+    for k in (1, min(8, 1 << d), 1 << min(d, 6)):
+        batch = knn_actions_batch(protos, k)
+        assert batch.shape == (protos.shape[0], k, d)
+        assert batch.dtype == np.int64
+        for proto, row in zip(protos, batch):
+            assert np.array_equal(row, knn_actions(proto, k))
+    assert knn_actions_batch(np.empty((0, d)), 1).shape == (0, 1, d)
+
+
 def test_knn_validation():
+    cases = [
+        (np.array([0.5, 0.5]), 0),
+        (np.array([0.5, 0.5]), 5),
+        (np.array([]), 1),
+        (np.full(63, 0.5), 1),
+    ]
+    for proto, k in cases:
+        with pytest.raises(ValueError) as single:
+            knn_actions(proto, k)
+        with pytest.raises(ValueError) as batch:
+            knn_actions_batch(proto[None, :], k)
+        assert str(single.value) == str(batch.value)
     with pytest.raises(ValueError):
-        knn_actions(np.array([0.5, 0.5]), 0)
-    with pytest.raises(ValueError):
-        knn_actions(np.array([0.5, 0.5]), 5)
-    with pytest.raises(ValueError):
-        knn_actions(np.array([]), 1)
+        knn_actions_batch(np.array([0.5, 0.5]), 1)
 
 
 def test_act_with_k_one_returns_rounded_proposal():
@@ -179,6 +226,62 @@ def test_train_step_soft_updates_targets():
         expected = before * (1.0 - tau)
         expected += tau * o
         assert np.array_equal(t, expected)
+
+
+def _reference_train_step(agent, batch):
+    """The train step with a per-row k-NN and bootstrap, as a loop oracle."""
+    c = agent.config
+    n = batch.states.shape[0]
+    proto_next = 1.0 / (1.0 + np.exp(-forward(agent.actor_target,
+                                              batch.next_states)))
+    cand_rows, state_rows, counts = [], [], []
+    for i in range(n):
+        cands = knn_actions(proto_next[i], c.k)
+        counts.append(cands.shape[0])
+        cand_rows.append(cands.astype(np.float64))
+        state_rows.append(np.tile(batch.next_states[i], (cands.shape[0], 1)))
+    x_next = np.concatenate([np.concatenate(state_rows, axis=0),
+                             np.concatenate(cand_rows, axis=0)], axis=1)
+    q_next = forward(agent.critic_target, x_next)[:, 0]
+    bootstrap = np.empty(n)
+    off = 0
+    for i, cnt in enumerate(counts):
+        bootstrap[i] = q_next[off:off + cnt].max()
+        off += cnt
+    targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
+    x = np.concatenate([batch.states, batch.actions.astype(np.float64)], axis=1)
+    q, cache = forward_cached(agent.critic, x)
+    loss, dloss = huber(q[:, 0] - targets)
+    grads = backward_from_cache(agent.critic, cache, (dloss / n)[:, None])
+    adam_step(agent.critic_opt, agent.critic.parameters(), grads)
+    mean_q = actor_objective_update(agent, batch.states)
+    _soft_update(agent.actor_target, agent.actor, c.tau)
+    _soft_update(agent.critic_target, agent.critic, c.tau)
+    return float(loss.mean()), mean_q
+
+
+@pytest.mark.parametrize("num_cells", [2, 5])  # dense and heap k-NN widths
+def test_train_step_matches_per_row_reference(num_cells):
+    assert (2 * num_cells <= DENSE_MAX_WIDTH) == (num_cells == 2)
+    cfg = WolpertingerConfig(hidden=(16, 16), k=8)
+    agents = [WolpertingerAgent(5 * num_cells, num_cells, cfg, seed=13)
+              for _ in range(2)]
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        batch = Batch(
+            states=rng.random((16, 5 * num_cells)),
+            actions=rng.integers(0, 2, (16, 2 * num_cells)).astype(np.float64),
+            rewards=rng.normal(size=16),
+            next_states=rng.random((16, 5 * num_cells)),
+            dones=rng.random(16) < 0.2,
+        )
+        assert wolpertinger_train_step(agents[0], batch) == \
+            _reference_train_step(agents[1], batch)
+    new, ref = agents
+    for net in ("actor", "critic", "actor_target", "critic_target"):
+        for a, b in zip(getattr(new, net).parameters(),
+                        getattr(ref, net).parameters()):
+            assert np.array_equal(a, b)
 
 
 def test_full_k_toy_run_keeps_pace_with_dqn():
