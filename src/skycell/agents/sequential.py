@@ -93,7 +93,7 @@ def rank_cells(env: NetworkEnv, metric: str = "rsrq",
     if n == 1:
         return [0]
     if metric == "rsrq":
-        score = [m.rsrq for m in env.measurements()]
+        score = env.link_state(measured=True).rsrq.tolist()
     else:
         from ..channel import link_distance_3d
         score = []

@@ -86,24 +86,25 @@ def _knn_dense(protos: np.ndarray, k: int) -> np.ndarray:
 
 def _knn_heap(proto: np.ndarray, k: int) -> np.ndarray:
     d = proto.size
-    base = (proto > 0.5).astype(np.int64)
+    base = proto > 0.5
     flip_cost = np.abs(1.0 - 2.0 * proto)  # extra squared distance, simplified
     order = np.argsort(flip_cost, kind="stable")
-    heap = [(0.0, ())]
-    found = []  # popped in nondecreasing cost order
+    costs = flip_cost[order].tolist()
+    # flipping coordinate i toggles bit d-1-i of the corner's action index
+    bits = [1 << (d - 1 - i) for i in order.tolist()]
+    heap = [(0.0, (), index_from_action(base))]
+    found = []  # (cost, index), popped in nondecreasing cost order
     tie_cap = k + 4096
     while heap and (len(found) < k
                     or (heap[0][0] == found[k - 1][0] and len(found) < tie_cap)):
-        cost, chosen = heapq.heappop(heap)
-        corner = base.copy()
-        for pos in chosen:
-            corner[order[pos]] ^= 1
-        found.append((cost, index_from_action(corner), corner))
+        cost, chosen, index = heapq.heappop(heap)
+        found.append((cost, index))
         start = chosen[-1] + 1 if chosen else 0
         for j in range(start, d):
-            heapq.heappush(heap, (cost + flip_cost[order[j]], chosen + (j,)))
-    found.sort(key=lambda t: (t[0], t[1]))
-    return np.array([c for _, _, c in found[:k]], np.int64)
+            heapq.heappush(heap, (cost + costs[j], chosen + (j,), index ^ bits[j]))
+    found.sort()
+    nearest = np.array([index for _, index in found[:k]], np.int64)
+    return (nearest[:, None] >> np.arange(d - 1, -1, -1)) & 1
 
 
 @dataclass

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import kernels
 from .channel import ChannelSet, PathLossParams, realize_network_channels
-from .radio import (LinkBudget, MeasurementReport, PowerSet, TxConfig,
-                    dft_codebook, noise_power_watts, probe_measurements)
+from .radio import (LinkBudget, LinkState, MeasurementReport, PowerSet,
+                    TxConfig, dft_codebook, link_state, noise_power_watts)
 from .scenario import ScenarioConfig, build_layout, place_users
 
 REWARD_KINDS = ("global_sinr", "serving_snr", "measured_sinr", "rsrq")
@@ -47,30 +47,13 @@ class RewardSpec:
         return self.kind in _MEASUREMENT_KINDS
 
 
-def _per_cell_values(kind: str, budgets, measurements) -> list:
-    if kind == "global_sinr":
-        if budgets is None:
-            raise ValueError("global_sinr reward needs link budgets")
-        return [b.sinr for b in budgets]
-    if kind == "serving_snr":
-        if budgets is None:
-            raise ValueError("serving_snr reward needs link budgets")
-        return [b.snr for b in budgets]
-    if kind == "measured_sinr":
-        if measurements is None:
-            raise ValueError("measured_sinr reward needs measurement reports")
-        return [m.measured_sinr for m in measurements]
-    if kind == "rsrq":
-        if measurements is None:
-            raise ValueError("rsrq reward needs measurement reports")
-        return [m.rsrq for m in measurements]
-    raise ValueError(f"unknown reward kind {kind!r}")
+# the per-cell field each family is paid in, on LinkBudget/MeasurementReport
+# records and on LinkState arrays alike
+_FAMILY_FIELDS = {"global_sinr": "sinr", "serving_snr": "snr",
+                  "measured_sinr": "measured_sinr", "rsrq": "rsrq"}
 
 
-def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
-                 per_cell: bool = False):
-    """Reward value plus a flag saying whether the threshold fired."""
-    vals = _per_cell_values(spec.kind, budgets, measurements)
+def _threshold_reward(spec: RewardSpec, vals: list, per_cell: bool):
     if spec.kind != "rsrq":
         threshold = 10.0 ** (spec.gamma_min_db / 10.0)
         if min(vals) <= threshold:
@@ -79,6 +62,20 @@ def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
     if per_cell:
         total /= len(vals)
     return total, False
+
+
+def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
+                 per_cell: bool = False):
+    """Reward value plus a flag saying whether the threshold fired."""
+    if spec.kind in _MEASUREMENT_KINDS:
+        records, needed = measurements, "measurement reports"
+    else:
+        records, needed = budgets, "link budgets"
+    if records is None:
+        raise ValueError(f"{spec.kind} reward needs {needed}")
+    field = _FAMILY_FIELDS[spec.kind]
+    return _threshold_reward(spec, [getattr(r, field) for r in records],
+                             per_cell)
 
 
 def compute_reward(spec: RewardSpec, budgets=None, measurements=None, *,
@@ -135,15 +132,11 @@ def enumerate_actions(num_cells: int) -> np.ndarray:
     return ((np.arange(count)[:, None] >> shifts[None, :]) & 1).astype(np.int64)
 
 
-def _shift_indices(tx: TxConfig, moves: dict, num_levels: int,
+def _shift_indices(tx: TxConfig, dp, db, num_levels: int,
                    num_beams: int) -> TxConfig:
-    out = tx.copy()
-    for cell, (p_bit, b_bit) in moves.items():
-        dp = 1 if p_bit else -1
-        out.power_idx[cell] = min(max(out.power_idx[cell] + dp, 0), num_levels - 1)
-        db = 1 if b_bit else -1
-        out.beam_idx[cell] = (out.beam_idx[cell] + db) % num_beams
-    return out
+    # dp and db hold each cell's step: +1 up, -1 down, 0 to hold
+    return TxConfig(np.minimum(np.maximum(tx.power_idx + dp, 0), num_levels - 1),
+                    (tx.beam_idx + db) % num_beams)
 
 
 def apply_action(tx: TxConfig, action, num_levels: int, num_beams: int) -> TxConfig:
@@ -154,11 +147,11 @@ def apply_action(tx: TxConfig, action, num_levels: int, num_beams: int) -> TxCon
     n = action.size // 2
     if n != tx.power_idx.size:
         raise ValueError("action length does not match the cell count")
-    moves = {l: (int(action[l]), int(action[n + l])) for l in range(n)}
-    for p_bit, b_bit in moves.values():
-        if p_bit not in (0, 1) or b_bit not in (0, 1):
-            raise ValueError("action bits must be 0 or 1")
-    return _shift_indices(tx, moves, num_levels, num_beams)
+    bits = action.astype(np.int64)
+    if np.any((bits != 0) & (bits != 1)):
+        raise ValueError("action bits must be 0 or 1")
+    steps = 2 * bits - 1
+    return _shift_indices(tx, steps[:n], steps[n:], num_levels, num_beams)
 
 
 @dataclass(frozen=True)
@@ -195,8 +188,8 @@ class NetworkEnv:
     reset(seed) draws geometry, LoS states and channels from that seed alone,
     precomputes the (L, L, W) beam gain table once (channels do not move
     within an episode) and starts every cell at the middle power level with
-    its best serving codeword from a sweep. All later SINR work is table
-    lookups through the kernels.
+    its best serving codeword from a sweep. Every later step reads its
+    link state off that table through radio.link_state.
     """
 
     def __init__(self, config: EnvConfig):
@@ -210,13 +203,20 @@ class NetworkEnv:
         radius = config.scenario.cell_radius_m
         xs = [c.x for c in self.layout]
         ys = [c.y for c in self.layout]
-        self._x_lo, self._x_span = min(xs) - radius, (max(xs) - min(xs)) + 2 * radius
-        self._y_lo, self._y_span = min(ys) - radius, (max(ys) - min(ys)) + 2 * radius
         z_lo, z_hi = config.scenario.user_altitude_range_m
-        self._z_lo, self._z_span = z_lo, max(z_hi - z_lo, 1e-12)
+        # user positions normalize to the layout's bounding box and altitude band
+        self._pos_lo = np.array([min(xs) - radius, min(ys) - radius, z_lo])
+        self._pos_span = np.array([(max(xs) - min(xs)) + 2 * radius,
+                                   (max(ys) - min(ys)) + 2 * radius,
+                                   max(z_hi - z_lo, 1e-12)])
         self.realization = None
         self.channels: Optional[ChannelSet] = None
         self.gains = None
+        n = config.scenario.num_cells
+        self._index_scale = np.repeat([max(self.powers.num_levels - 1, 1),
+                                       max(self.codebook.size - 1, 1)],
+                                      n).astype(np.float64)
+        self._features = None
         self.tx: Optional[TxConfig] = None
         self.step_count = 0
         self.episode_seed = None
@@ -240,45 +240,44 @@ class NetworkEnv:
         self.tx = TxConfig(power_idx=np.full(n, mid, np.int64), beam_idx=beams)
         self.step_count = 0
         self.episode_seed = episode_seed
+        # users do not move within an episode: the position block is final
+        pos = ((np.array(self.realization.user_positions, np.float64)
+                - self._pos_lo) / self._pos_span)
+        self._features = np.concatenate((np.clip(pos.ravel(), 0.0, 1.0),
+                                         np.zeros(2 * n)))
         return self.features()
 
     def features(self) -> np.ndarray:
         """Flat observation: 3L normalized coordinates, L powers, L beams."""
         if self.realization is None:
             raise RuntimeError("reset the environment before reading features")
-        n = self.num_cells
-        out = np.empty(5 * n, np.float64)
-        for l, u in enumerate(self.realization.user_positions):
-            out[3 * l] = (u.x - self._x_lo) / self._x_span
-            out[3 * l + 1] = (u.y - self._y_lo) / self._y_span
-            out[3 * l + 2] = (u.z - self._z_lo) / self._z_span
-        p_den = max(self.powers.num_levels - 1, 1)
-        b_den = max(self.codebook.size - 1, 1)
-        out[3 * n:4 * n] = self.tx.power_idx / p_den
-        out[4 * n:] = self.tx.beam_idx / b_den
-        return np.clip(out, 0.0, 1.0)
+        out = self._features.copy()
+        out[3 * self.num_cells:] = (np.concatenate((self.tx.power_idx,
+                                                    self.tx.beam_idx))
+                                    / self._index_scale)
+        return out
+
+    def link_state(self, measured: bool = False,
+                   tx: Optional[TxConfig] = None) -> LinkState:
+        """Link state at tx (default: the current one); measured adds the probe."""
+        tx = self.tx if tx is None else tx
+        return link_state(self.gains, self._p_watts[tx.power_idx], tx.beam_idx,
+                          self.noise_watts, measured)
 
     def budgets(self) -> list[LinkBudget]:
         """Ground-truth per-cell budgets at the current transmit configuration."""
-        signal, interference = kernels.rx_powers(
-            self.gains, self._p_watts[self.tx.power_idx], self.tx.beam_idx)
-        out = []
-        for l in range(self.num_cells):
-            sinr = signal[l] / (interference[l] + self.noise_watts)
-            out.append(LinkBudget(
-                signal_w=float(signal[l]),
-                interference_w=float(interference[l]),
-                noise_w=self.noise_watts,
-                sinr=float(sinr),
-                snr=float(signal[l] / self.noise_watts),
-                rate=float(np.log2(1.0 + sinr)),
-            ))
-        return out
+        s = self.link_state()
+        return [LinkBudget(signal, interference, s.noise_w, sinr, snr, rate)
+                for signal, interference, sinr, snr, rate in zip(
+                    s.signal_w.tolist(), s.interference_w.tolist(),
+                    s.sinr.tolist(), s.snr.tolist(), s.rate.tolist())]
 
     def measurements(self) -> list[MeasurementReport]:
         """Probe reports at the current transmit configuration."""
-        return probe_measurements(self.channels, self.tx, self.codebook,
-                                  self.powers, self.noise_watts)
+        s = self.link_state(measured=True)
+        return [MeasurementReport(*vals) for vals in zip(
+            s.rssi_w.tolist(), s.rsrp_w.tolist(), s.rsrq.tolist(),
+            s.measured_sinr.tolist())]
 
     def step(self, action) -> StepOutcome:
         """Advance one step under a joint 2L-bit action."""
@@ -287,8 +286,8 @@ class NetworkEnv:
             raise ValueError(f"expected {2 * self.num_cells} action bits, "
                              f"got {action.size}")
         n = self.num_cells
-        moves = {l: (int(action[l]), int(action[n + l])) for l in range(n)}
-        return self.step_cells(moves)
+        bits = [int(b) for b in action.tolist()]
+        return self.step_cells({l: (bits[l], bits[n + l]) for l in range(n)})
 
     def step_cells(self, moves: dict) -> StepOutcome:
         """Advance one step moving only the given cells; others hold.
@@ -301,31 +300,35 @@ class NetworkEnv:
             raise RuntimeError("reset the environment before stepping")
         if self.step_count >= self.config.horizon:
             raise RuntimeError("episode is finished; reset to continue")
+        n = self.num_cells
+        dp, db = [0] * n, [0] * n
         for cell, (p_bit, b_bit) in moves.items():
-            if not 0 <= cell < self.num_cells:
+            if not 0 <= cell < n:
                 raise ValueError(f"cell index {cell} out of range")
             if p_bit not in (0, 1) or b_bit not in (0, 1):
                 raise ValueError("action bits must be 0 or 1")
-        self.tx = _shift_indices(self.tx, moves, self.powers.num_levels,
+            dp[cell] = 1 if p_bit else -1
+            db[cell] = 1 if b_bit else -1
+        self.tx = _shift_indices(self.tx, dp, db, self.powers.num_levels,
                                  self.codebook.size)
-        budgets = self.budgets()
-        measurements = (self.measurements()
-                        if self.config.reward.needs_measurements() else None)
-        reward, violated = reward_terms(self.config.reward, budgets,
-                                        measurements, per_cell=True)
+        spec = self.config.reward
+        state = self.link_state(spec.needs_measurements())
+        reward, violated = _threshold_reward(
+            spec, getattr(state, _FAMILY_FIELDS[spec.kind]).tolist(),
+            per_cell=True)
         self.step_count += 1
-        done = self.step_count >= self.config.horizon
         info = {
-            "sum_rate": float(sum(b.rate for b in budgets)),
-            "sinr": np.array([b.sinr for b in budgets]),
-            "snr": np.array([b.snr for b in budgets]),
-            "rates": np.array([b.rate for b in budgets]),
+            "sum_rate": float(sum(state.rate.tolist())),
+            "sinr": state.sinr,
+            "snr": state.snr,
+            "rates": state.rate,
             "violated_threshold": violated,
             "power_idx": self.tx.power_idx.copy(),
             "beam_idx": self.tx.beam_idx.copy(),
         }
-        if measurements is not None:
-            info["measured_sinr"] = np.array([m.measured_sinr for m in measurements])
-            info["rsrq"] = np.array([m.rsrq for m in measurements])
+        if state.measured_sinr is not None:
+            info["measured_sinr"] = state.measured_sinr
+            info["rsrq"] = state.rsrq
         return StepOutcome(features=self.features(), reward=float(reward),
-                           done=done, info=info)
+                           done=self.step_count >= self.config.horizon,
+                           info=info)

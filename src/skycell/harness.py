@@ -27,7 +27,6 @@ from .baselines import (BruteForceCapExceeded, brute_force_search, mrt_snrs,
                         mrt_tdma_sum_rate, random_policy)
 from .channel import PathLossParams
 from .environment import EnvConfig, NetworkEnv, RewardSpec
-from .kernels import rx_powers
 from .scenario import ScenarioConfig
 
 _SIMPLE_METHODS = ("brute_force", "mrt", "random")
@@ -245,10 +244,7 @@ def _run_brute(config, table, env, method, num_cells, seed_index):
         env.reset(es)
         result = brute_force_search(env.channels, env.codebook, env.powers,
                                     env.noise_watts, cap=config.brute_force_cap)
-        signal, interference = rx_powers(env.gains,
-                                         env.powers.watts()[result.tx.power_idx],
-                                         result.tx.beam_idx)
-        sinr = signal / (interference + env.noise_watts)
+        sinr = env.link_state(tx=result.tx).sinr
         table.add_samples(method, num_cells, 10.0 * np.log10(sinr))
         rates.append(result.sum_rate)
     return rates, None

@@ -29,6 +29,11 @@ def beam_gains(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 # received powers for one transmit configuration
 
 
+def rx_matrix(gains, p_watts, beams):
+    """R[j, l] = p_watts[j] * gains[j, l, beams[j]]: power at user l from j."""
+    return p_watts[:, None] * gains[np.arange(gains.shape[0]), :, beams]
+
+
 def rx_powers(gains, p_watts, beams):
     """Per-cell signal and interference power for one configuration.
 
@@ -36,14 +41,10 @@ def rx_powers(gains, p_watts, beams):
     transmit power in watts, beams the per-cell codeword index. Returns
     (signal, interference), each shape (L,).
     """
-    n = gains.shape[0]
-    signal = np.empty(n, np.float64)
-    total = np.zeros(n, np.float64)
-    for j in range(n):
-        contrib = p_watts[j] * gains[j, :, beams[j]]
-        total += contrib
-        signal[j] = contrib[j]
-    return signal, total - signal
+    r = rx_matrix(gains, p_watts, beams)
+    signal = r.diagonal().copy()
+    # numpy reduces axis 0 row by row, so the total adds ascending j
+    return signal, r.sum(axis=0) - signal
 
 
 # ---------------------------------------------------------------------------

@@ -1,19 +1,22 @@
 """Link-level radio quantities: codebooks, power sets, SINR, probing.
 
 All powers are linear watts internally; dBm appears only at configuration
-boundaries. sinr_all is the ground-truth observer (it sees every cross link),
-probe_measurements is the over-the-air observer (it sees only what a receiver
-can measure with a two-phase mute-and-listen protocol).
+boundaries. link_state derives every per-cell quantity of one transmit
+configuration from the beam gain table: the ground truth (it sees every cross
+link) and, on request, the over-the-air view (only what a receiver can
+measure with a two-phase mute-and-listen protocol, probe_measurements).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .channel import ChannelSet, array_response
+from . import kernels
+from .channel import ChannelSet, array_response  # noqa: F401 (re-exported)
 
 
 @dataclass(frozen=True)
@@ -124,66 +127,58 @@ def received_power(p_watts: float, h: np.ndarray, w: np.ndarray) -> float:
     return p_watts * (amp.real * amp.real + amp.imag * amp.imag)
 
 
-def _rx_matrix(channels: ChannelSet, tx: TxConfig, codebook: Codebook,
-               powers: PowerSet) -> np.ndarray:
-    """R[j, l] = power received at user l from transmitter j under tx."""
-    selected = codebook.codewords[tx.beam_idx]
-    amp = np.einsum("jlm,jm->jl", np.conj(channels.h), selected)
-    p = powers.watts()[tx.power_idx]
-    return p[:, None] * (amp.real * amp.real + amp.imag * amp.imag)
+@dataclass
+class LinkState:
+    """Every per-cell quantity of one transmit configuration, as (L,) arrays.
 
-
-def _cross_power_sum(r: np.ndarray, l: int) -> float:
-    # fsum keeps the interference total correctly rounded, which in turn keeps
-    # the probe identity tight even when the serving power is far below it
-    return math.fsum(r[j, l] for j in range(r.shape[0]) if j != l)
-
-
-def sinr_all(channels: ChannelSet, tx: TxConfig, codebook: Codebook,
-             powers: PowerSet, noise_watts: float) -> list[LinkBudget]:
-    """Ground-truth SINR, SNR and spectral efficiency of every cell."""
-    r = _rx_matrix(channels, tx, codebook, powers)
-    out = []
-    for l in range(channels.num_cells):
-        signal = r[l, l]
-        interference = _cross_power_sum(r, l)
-        sinr = signal / (interference + noise_watts)
-        out.append(LinkBudget(
-            signal_w=float(signal),
-            interference_w=float(interference),
-            noise_w=noise_watts,
-            sinr=float(sinr),
-            snr=float(signal / noise_watts),
-            rate=float(np.log2(1.0 + sinr)),
-        ))
-    return out
-
-
-def sum_rate(budgets: list[LinkBudget]) -> float:
-    """Network spectral efficiency in bit/s/Hz, the sum of per-cell rates."""
-    return float(sum(b.rate for b in budgets))
-
-
-def probe_measurements(channels: ChannelSet, tx: TxConfig, codebook: Codebook,
-                       powers: PowerSet, noise_watts: float) -> list[MeasurementReport]:
-    """Receiver-side measurements from a two-phase probing protocol.
-
-    Phase A mutes the serving transmitter, so the receiver hears interference
-    plus noise; phase B turns everything on, so it hears signal plus
-    interference plus noise. The difference recovers the serving power without
-    any cross-link knowledge. Channels are assumed unchanged between phases.
+    The probe fields (rssi_w, rsrp_w, rsrq, measured_sinr) are None unless
+    the state was built with measured=True.
     """
-    r = _rx_matrix(channels, tx, codebook, powers)
-    n = channels.num_cells
-    out = []
-    for l in range(n):
-        phase_a = _cross_power_sum(r, l) + noise_watts
-        phase_b = math.fsum(r[j, l] for j in range(n)) + noise_watts
-        serving = phase_b - phase_a
-        out.append(MeasurementReport(
-            rssi_w=float(phase_b),
-            rsrp_w=float(serving),
-            rsrq=float(serving / phase_b),
-            measured_sinr=float(serving / phase_a),
-        ))
-    return out
+
+    signal_w: np.ndarray
+    interference_w: np.ndarray
+    noise_w: float
+    sinr: np.ndarray
+    snr: np.ndarray
+    rate: np.ndarray
+    rssi_w: Optional[np.ndarray] = None
+    rsrp_w: Optional[np.ndarray] = None
+    rsrq: Optional[np.ndarray] = None
+    measured_sinr: Optional[np.ndarray] = None
+
+
+def link_state(gains: np.ndarray, p_watts: np.ndarray, beams: np.ndarray,
+               noise_watts: float, measured: bool = False) -> LinkState:
+    """Per-cell link accounting for one configuration, off the gain table.
+
+    gains, p_watts and beams are as for kernels.rx_powers. measured=True adds
+    what each receiver measures with the two-phase probe.
+    """
+    signal, interference = kernels.rx_powers(gains, p_watts, beams)
+    sinr = signal / (interference + noise_watts)
+    state = LinkState(signal, interference, noise_watts, sinr,
+                      signal / noise_watts, np.log2(1.0 + sinr))
+    if measured:
+        (state.rssi_w, state.rsrp_w, state.rsrq,
+         state.measured_sinr) = probe_measurements(
+            kernels.rx_matrix(gains, p_watts, beams), noise_watts)
+    return state
+
+
+def probe_measurements(r: np.ndarray, noise_watts: float):
+    """Per-cell (RSSI, RSRP, RSRQ, measured SINR) from a two-phase probe.
+
+    r is the received-power matrix R[j, l]. Phase A mutes the serving
+    transmitter, so the receiver hears interference plus noise; phase B turns
+    everything on, so it hears signal plus interference plus noise. The
+    difference recovers the serving power without any cross-link knowledge.
+    Channels are assumed unchanged between phases.
+    """
+    # fsum keeps both received totals correctly rounded, which keeps the
+    # probe identity tight even when the serving power is far below them
+    cols = r.T.tolist()
+    phase_a = np.array([math.fsum(c[:l] + c[l + 1:])
+                        for l, c in enumerate(cols)]) + noise_watts
+    phase_b = np.array([math.fsum(c) for c in cols]) + noise_watts
+    serving = phase_b - phase_a
+    return phase_b, serving, serving / phase_b, serving / phase_a

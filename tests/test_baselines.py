@@ -11,11 +11,10 @@ from skycell.baselines import (BruteForceCapExceeded, brute_force_search,
                                random_policy)
 from skycell.channel import ChannelSet, array_response
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
-from skycell.radio import (PowerSet, TxConfig, dft_codebook, sinr_all,
-                           sum_rate)
+from skycell.radio import PowerSet, TxConfig, dft_codebook
 from skycell.scenario import ScenarioConfig
 
-from helpers import drawn_channels
+from helpers import drawn_channels, sinr_all, sum_rate
 
 NOISE = 10.0 ** -11.5
 

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
-from skycell.environment import (EnvConfig, NetworkEnv, RewardSpec,
-                                 action_from_index, apply_action,
+from helpers import (reference_budgets, reference_reports, reference_step,
+                     rx_matrix_from_channels)
+from skycell import kernels
+from skycell.channel import ChannelSet
+from skycell.environment import (REWARD_KINDS, EnvConfig, NetworkEnv,
+                                 RewardSpec, action_from_index, apply_action,
                                  compute_reward, enumerate_actions,
                                  index_from_action, num_actions, reward_terms)
 from skycell.radio import LinkBudget, MeasurementReport, TxConfig
@@ -245,3 +249,131 @@ def test_env_config_validation():
         EnvConfig(horizon=0)
     with pytest.raises(ValueError):
         EnvConfig(num_antennas=0)
+
+
+@pytest.mark.parametrize("family", REWARD_KINDS)
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 5])
+def test_step_matches_per_cell_reference(num_cells, family):
+    rng = np.random.default_rng(num_cells)
+    for gamma_min_db in (-3.0, -60.0):
+        env = _env(num_cells=num_cells, horizon=12,
+                   reward=RewardSpec(kind=family, gamma_min_db=gamma_min_db))
+        for episode in range(4):
+            env.reset(100 * num_cells + episode)
+            for step in range(12):
+                if step % 2 == 0:
+                    bits = rng.integers(0, 2, 2 * num_cells)
+                    moves = {l: (int(bits[l]), int(bits[num_cells + l]))
+                             for l in range(num_cells)}
+                else:
+                    cells = rng.permutation(num_cells)[:rng.integers(0, num_cells + 1)]
+                    moves = {int(l): tuple(int(b) for b in rng.integers(0, 2, 2))
+                             for l in cells}
+                reward, info, features = reference_step(env, moves)
+                out = (env.step(bits) if step % 2 == 0
+                       else env.step_cells(moves))
+                assert out.reward == reward
+                assert out.info.keys() == info.keys()
+                assert out.info["sum_rate"] == info["sum_rate"]
+                assert out.info["violated_threshold"] is info["violated_threshold"]
+                for key, want in info.items():
+                    if isinstance(want, np.ndarray):
+                        assert out.info[key].dtype == want.dtype, key
+                        np.testing.assert_array_equal(out.info[key], want)
+                np.testing.assert_array_equal(out.features, features)
+
+
+def test_rx_matrix_from_gain_table_matches_raw_channels():
+    rng = np.random.default_rng(11)
+    for num_cells in (1, 2, 3, 5):
+        for num_antennas in (1, 4, 8):
+            env = _env(num_cells=num_cells, num_antennas=num_antennas)
+            for seed in range(5):
+                env.reset(seed)
+                for _ in range(10):
+                    tx = TxConfig(
+                        power_idx=rng.integers(0, env.powers.num_levels, num_cells),
+                        beam_idx=rng.integers(0, env.codebook.size, num_cells))
+                    want = rx_matrix_from_channels(env.channels, tx,
+                                                   env.codebook, env.powers)
+                    got = kernels.rx_matrix(
+                        env.gains, env.powers.watts()[tx.power_idx], tx.beam_idx)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+def test_link_state_reads_the_given_tx():
+    # harness._run_brute reads the brute-force winner this way, at a tx the
+    # env is not in
+    env = _env(num_cells=3)
+    env.reset(5)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        tx = TxConfig(power_idx=rng.integers(0, env.powers.num_levels, 3),
+                      beam_idx=rng.integers(0, env.codebook.size, 3))
+        state = env.link_state(measured=True, tx=tx)
+        np.testing.assert_array_equal(
+            state.sinr, [b.sinr for b in reference_budgets(env, tx)])
+        np.testing.assert_array_equal(
+            state.rsrq, [m.rsrq for m in reference_reports(env, tx)])
+
+
+def _zero_links(env, links):
+    h = env.channels.h.copy()
+    for j, l in links:
+        h[j, l] = 0.0
+    env.channels = ChannelSet(h=h)
+    env.gains = kernels.beam_gains(h, env.codebook.codewords)
+
+
+@pytest.mark.parametrize("case", ["single_cell", "zero_link", "all_zero",
+                                  "all_nlos"])
+def test_degenerate_channels_stay_finite(case):
+    num_cells = 1 if case == "single_cell" else 3
+    los = 0.0 if case == "all_nlos" else 0.8
+    for family in REWARD_KINDS:
+        env = NetworkEnv(EnvConfig(
+            scenario=ScenarioConfig(num_cells=num_cells, los_probability=los),
+            reward=RewardSpec(kind=family), horizon=6))
+        env.reset(4)
+        if case == "zero_link":
+            _zero_links(env, [(0, 0), (2, 1)])
+        elif case == "all_zero":
+            _zero_links(env, [(j, l) for j in range(3) for l in range(3)])
+        for step in range(6):
+            bits = np.full(2 * num_cells, step % 2)
+            out = env.step(bits) if step < 3 else env.step_cells({0: (1, 0)})
+            assert np.isfinite(out.reward), (family, step)
+            for key, value in out.info.items():
+                assert np.all(np.isfinite(value)), (family, key)
+        for records in (env.budgets(), env.measurements()):
+            for record in records:
+                assert all(np.isfinite(v) for v in vars(record).values())
+
+
+def test_features_are_cached_per_episode_and_copied_out():
+    env = _env(num_cells=3)
+    env.reset(21)
+    first = env.reset(22)
+    fresh = _env(num_cells=3)
+    np.testing.assert_array_equal(first, fresh.reset(22))
+    np.testing.assert_array_equal(env.features(), fresh.features())
+    # scribbling on anything handed out leaves the env untouched
+    out = env.step(np.ones(6, np.int64))
+    want_features = out.features.copy()
+    want_tx = env.tx.copy()
+    out.features[:] = -5.0
+    for value in out.info.values():
+        if isinstance(value, np.ndarray):
+            value[:] = 7
+    first[:] = 9.0
+    np.testing.assert_array_equal(env.features(), want_features)
+    np.testing.assert_array_equal(env.tx.power_idx, want_tx.power_idx)
+    np.testing.assert_array_equal(env.tx.beam_idx, want_tx.beam_idx)
+    nxt = env.step(np.zeros(6, np.int64))
+    ref = fresh
+    ref.step(np.ones(6, np.int64))
+    want = ref.step(np.zeros(6, np.int64))
+    np.testing.assert_array_equal(nxt.features, want.features)
+    assert nxt.reward == want.reward
+    for key, value in want.info.items():
+        np.testing.assert_array_equal(nxt.info[key], value)

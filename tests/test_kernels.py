@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from helpers import drawn_channels
+from helpers import drawn_channels, reference_rx_powers
 from skycell import kernels
 from skycell.radio import PowerSet, dft_codebook
 
@@ -37,6 +37,10 @@ def test_rx_powers_match_manual_sums():
         beams = rng.integers(0, gains.shape[2], n)
         signal, interference = kernels.rx_powers(
             gains, p_watts[p_idx], beams)
+        # bit for bit the ascending-index loop the environment always used
+        want_s, want_i = reference_rx_powers(gains, p_watts[p_idx], beams)
+        np.testing.assert_array_equal(signal, want_s)
+        np.testing.assert_array_equal(interference, want_i)
         for l in range(n):
             contrib = [p_watts[p_idx[j]] * gains[j, l, beams[j]]
                        for j in range(n)]

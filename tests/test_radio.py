@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from helpers import drawn_channels
+from helpers import (drawn_channels, rx_matrix_from_channels, sinr_all,
+                     sum_rate)
+from skycell import kernels
 from skycell.channel import ChannelSet
 from skycell.radio import (PowerSet, TxConfig, default_power_set, dft_codebook,
-                           noise_power_watts, probe_measurements,
-                           received_power, sinr_all, sum_rate)
+                           link_state, noise_power_watts, probe_measurements,
+                           received_power)
 
 
 def test_codebook_angles_follow_the_sine_grid():
@@ -86,6 +88,13 @@ def test_sinr_hand_case_two_cells_one_antenna():
                                math.log2(1.0 + 9.0 / 0.35), rtol=1e-12)
     np.testing.assert_allclose(sum_rate(budgets),
                                budgets[0].rate + budgets[1].rate, rtol=1e-12)
+    # the environment's path, off the gain table, gives the same numbers
+    state = link_state(kernels.beam_gains(h, cb.codewords),
+                       powers.watts()[tx.power_idx], tx.beam_idx, 0.1)
+    for field in ("signal_w", "interference_w", "sinr", "snr", "rate"):
+        np.testing.assert_allclose(getattr(state, field),
+                                   [getattr(b, field) for b in budgets],
+                                   rtol=1e-12)
 
 
 def _random_instance(seed, num_cells=3):
@@ -98,28 +107,37 @@ def _random_instance(seed, num_cells=3):
     return channels, tx, cb, powers
 
 
+def _probe(channels, tx, cb, powers, noise):
+    return probe_measurements(rx_matrix_from_channels(channels, tx, cb, powers),
+                              noise)
+
+
 def test_probe_recovers_true_sinr_to_nine_digits():
     noise = noise_power_watts(1e8, 9.0)
     for seed in range(30):
         channels, tx, cb, powers = _random_instance(seed)
-        budgets = sinr_all(channels, tx, cb, powers, noise)
-        reports = probe_measurements(channels, tx, cb, powers, noise)
-        for b, r in zip(budgets, reports):
-            assert abs(r.measured_sinr - b.sinr) <= 1e-9 * b.sinr
+        truth = [b.sinr for b in sinr_all(channels, tx, cb, powers, noise)]
+        measured = _probe(channels, tx, cb, powers, noise)[3]
+        state = link_state(kernels.beam_gains(channels.h, cb.codewords),
+                           powers.watts()[tx.power_idx], tx.beam_idx, noise,
+                           measured=True)
+        for got in (measured, state.measured_sinr):
+            for m, sinr in zip(got.tolist(), truth):
+                assert abs(m - sinr) <= 1e-9 * sinr
 
 
 def test_probe_report_internal_consistency():
     noise = noise_power_watts(1e8, 9.0)
     channels, tx, cb, powers = _random_instance(3)
     budgets = sinr_all(channels, tx, cb, powers, noise)
-    for b, r in zip(budgets, probe_measurements(channels, tx, cb, powers,
-                                                noise)):
-        assert 0.0 < r.rsrq <= 1.0
-        np.testing.assert_allclose(r.rsrq, r.rsrp_w / r.rssi_w, rtol=1e-12)
-        np.testing.assert_allclose(r.rssi_w,
+    rssi, rsrp, rsrq, _ = _probe(channels, tx, cb, powers, noise)
+    for b, rssi_w, rsrp_w, q in zip(budgets, rssi, rsrp, rsrq):
+        assert 0.0 < q <= 1.0
+        np.testing.assert_allclose(q, rsrp_w / rssi_w, rtol=1e-12)
+        np.testing.assert_allclose(rssi_w,
                                    b.signal_w + b.interference_w + b.noise_w,
                                    rtol=1e-9)
-        np.testing.assert_allclose(r.rsrp_w, b.signal_w, rtol=1e-9)
+        np.testing.assert_allclose(rsrp_w, b.signal_w, rtol=1e-9)
 
 
 def test_tx_config_copy_is_independent():
