@@ -11,20 +11,23 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .. import neural
 from .dqn import DqnAgent, DqnConfig
 from .sequential import CellAgent, SequentialConfig, SequentialResult
 from .wolpertinger import WolpertingerAgent, WolpertingerConfig
 
 
+def _arrays(net: neural.Mlp) -> list:
+    """The net's per-layer W, b arrays, in the order the payload stores them."""
+    return neural.layer_views(net.parameters(), net.widths)
+
+
 def _fill(net: neural.Mlp, arrays) -> None:
-    params = net.parameters()
-    if len(params) != len(arrays):
+    if list(map(np.shape, arrays)) != list(map(np.shape, _arrays(net))):
         raise ValueError("checkpoint payload does not match the network layout")
-    for dst, src in zip(params, arrays):
-        if dst.shape != src.shape:
-            raise ValueError("checkpoint payload does not match the network layout")
-        dst[...] = src
+    net.parameters()[...] = np.concatenate(arrays, axis=None)
 
 
 def save_checkpoint(path, agent) -> None:
@@ -34,14 +37,14 @@ def save_checkpoint(path, agent) -> None:
                 "num_features": agent.online.widths[0],
                 "num_cells": agent.num_cells,
                 "hidden": list(agent.config.hidden)}
-        arrays = agent.online.parameters()
+        arrays = _arrays(agent.online)
     elif isinstance(agent, WolpertingerAgent):
         head = {"kind": "wolpertinger",
                 "num_features": agent.actor.widths[0],
                 "num_cells": agent.num_cells,
                 "hidden": list(agent.config.hidden),
                 "k": int(agent.config.k)}
-        arrays = agent.actor.parameters() + agent.critic.parameters()
+        arrays = _arrays(agent.actor) + _arrays(agent.critic)
     elif isinstance(agent, SequentialResult):
         first = agent.policies[agent.order[0]]
         head = {"kind": "sequential",
@@ -51,7 +54,7 @@ def save_checkpoint(path, agent) -> None:
                 "order": [int(c) for c in agent.order]}
         arrays = []
         for cell in agent.order:
-            arrays.extend(agent.policies[cell].online.parameters())
+            arrays.extend(_arrays(agent.policies[cell].online))
     else:
         raise TypeError(f"cannot checkpoint object of type {type(agent).__name__}")
     with open(path, "wb") as f:
@@ -82,7 +85,7 @@ def load_checkpoint(path):
         agent = WolpertingerAgent(
             num_features, num_cells,
             WolpertingerConfig(hidden=hidden, k=int(head["k"])))
-        split = len(agent.actor.parameters())
+        split = 2 * agent.actor.num_layers
         _fill(agent.actor, arrays[:split])
         _fill(agent.critic, arrays[split:])
         agent.actor_target.copy_from(agent.actor)
@@ -95,7 +98,7 @@ def load_checkpoint(path):
         offset = 0
         for cell in order:
             cell_agent = CellAgent(num_features, config, seed=0)
-            count = len(cell_agent.online.parameters())
+            count = 2 * cell_agent.online.num_layers
             _fill(cell_agent.online, arrays[offset:offset + count])
             cell_agent.target.copy_from(cell_agent.online)
             policies[cell] = cell_agent

@@ -188,9 +188,9 @@ def wolpertinger_act(agent: WolpertingerAgent, features: np.ndarray,
 
 
 def _soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> None:
-    for t, o in zip(target.parameters(), online.parameters()):
-        t *= 1.0 - tau
-        t += tau * o
+    t = target.parameters()
+    t *= 1.0 - tau
+    t += tau * online.parameters()
 
 
 def actor_gradients(agent: WolpertingerAgent, states: np.ndarray,
@@ -208,9 +208,9 @@ def actor_gradients(agent: WolpertingerAgent, states: np.ndarray,
     proto = 1.0 / (1.0 + np.exp(-z))
     if dq_da is None:
         x = np.concatenate([states, proto], axis=1)
-        q = neural.forward(agent.critic, x)
+        q, critic_cache = neural.forward_cached(agent.critic, x)
         up = np.ones_like(q) / n
-        dq_dx = neural.input_gradient(agent.critic, x, up)
+        dq_dx = neural.input_gradient(agent.critic, critic_cache, up)
         dq_da = dq_dx[:, states.shape[1]:]
         objective = float(q.mean())
     else:

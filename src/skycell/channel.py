@@ -44,11 +44,6 @@ def path_loss_db(distance_m: float, los: bool, params: PathLossParams) -> float:
     return params.nlos_intercept_db + 10.0 * params.nlos_exponent * math.log10(d)
 
 
-def free_space_path_loss_db(distance_m: float, wavelength_m: float) -> float:
-    """Free-space loss 20 log10(4 pi d / lambda), for sanity checks."""
-    return 20.0 * math.log10(4.0 * math.pi * distance_m / wavelength_m)
-
-
 def draw_link_channel(bs: Vec3, user: Vec3, los: bool, num_antennas: int,
                       params: PathLossParams, rng: np.random.Generator,
                       num_nlos_paths: int = 3) -> np.ndarray:

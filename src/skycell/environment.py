@@ -64,20 +64,6 @@ def _threshold_reward(spec: RewardSpec, vals: list, per_cell: bool):
     return total, False
 
 
-def reward_terms(spec: RewardSpec, budgets=None, measurements=None,
-                 per_cell: bool = False):
-    """Reward value plus a flag saying whether the threshold fired."""
-    if spec.kind in _MEASUREMENT_KINDS:
-        records, needed = measurements, "measurement reports"
-    else:
-        records, needed = budgets, "link budgets"
-    if records is None:
-        raise ValueError(f"{spec.kind} reward needs {needed}")
-    field = _FAMILY_FIELDS[spec.kind]
-    return _threshold_reward(spec, [getattr(r, field) for r in records],
-                             per_cell)
-
-
 def compute_reward(spec: RewardSpec, budgets=None, measurements=None, *,
                    per_cell: bool = False) -> float:
     """Scalar reward for one step under the given spec.
@@ -86,7 +72,15 @@ def compute_reward(spec: RewardSpec, budgets=None, measurements=None, *,
     count (the penalty is never scaled). Families that read receiver
     measurements raise ValueError when only budgets are supplied.
     """
-    return reward_terms(spec, budgets, measurements, per_cell)[0]
+    if spec.needs_measurements():
+        records, needed = measurements, "measurement reports"
+    else:
+        records, needed = budgets, "link budgets"
+    if records is None:
+        raise ValueError(f"{spec.kind} reward needs {needed}")
+    field = _FAMILY_FIELDS[spec.kind]
+    return _threshold_reward(spec, [getattr(r, field) for r in records],
+                             per_cell)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +124,6 @@ def enumerate_actions(num_cells: int) -> np.ndarray:
     count = 1 << width
     shifts = np.arange(width - 1, -1, -1)
     return ((np.arange(count)[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-
-
-def _shift_indices(tx: TxConfig, dp, db, num_levels: int,
-                   num_beams: int) -> TxConfig:
-    # dp and db hold each cell's step: +1 up, -1 down, 0 to hold
-    return TxConfig(np.minimum(np.maximum(tx.power_idx + dp, 0), num_levels - 1),
-                    (tx.beam_idx + db) % num_beams)
-
-
-def apply_action(tx: TxConfig, action, num_levels: int, num_beams: int) -> TxConfig:
-    """New TxConfig after one joint action; powers clamp, beams wrap."""
-    action = np.asarray(action).ravel()
-    if action.size % 2 != 0:
-        raise ValueError("action length must be 2L")
-    n = action.size // 2
-    if n != tx.power_idx.size:
-        raise ValueError("action length does not match the cell count")
-    bits = action.astype(np.int64)
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("action bits must be 0 or 1")
-    steps = 2 * bits - 1
-    return _shift_indices(tx, steps[:n], steps[n:], num_levels, num_beams)
 
 
 @dataclass(frozen=True)
@@ -301,7 +273,7 @@ class NetworkEnv:
         if self.step_count >= self.config.horizon:
             raise RuntimeError("episode is finished; reset to continue")
         n = self.num_cells
-        dp, db = [0] * n, [0] * n
+        dp, db = [0] * n, [0] * n  # each cell's step: +1 up, -1 down, 0 hold
         for cell, (p_bit, b_bit) in moves.items():
             if not 0 <= cell < n:
                 raise ValueError(f"cell index {cell} out of range")
@@ -309,8 +281,10 @@ class NetworkEnv:
                 raise ValueError("action bits must be 0 or 1")
             dp[cell] = 1 if p_bit else -1
             db[cell] = 1 if b_bit else -1
-        self.tx = _shift_indices(self.tx, dp, db, self.powers.num_levels,
-                                 self.codebook.size)
+        self.tx = TxConfig(
+            np.minimum(np.maximum(self.tx.power_idx + dp, 0),
+                       self.powers.num_levels - 1),
+            (self.tx.beam_idx + db) % self.codebook.size)
         spec = self.config.reward
         state = self.link_state(spec.needs_measurements())
         reward, violated = _threshold_reward(

@@ -1,9 +1,10 @@
-"""Minimal neural toolkit: MLP, Adam, replay memory, flat binary weights.
+"""Minimal neural toolkit: MLP, Adam, replay memory, the weight payload.
 
 Everything is plain numpy in float64. Networks are ReLU-hidden,
-identity-output perceptrons; gradients come from hand-written reverse-mode
-passes. This is deliberately small: just enough machinery to train the value
-and policy networks used elsewhere in the package.
+identity-output perceptrons holding all their parameters in one flat vector;
+gradients come from hand-written reverse-mode passes in the same layout.
+This is deliberately small: just enough machinery to train the value and
+policy networks used elsewhere in the package.
 """
 
 from __future__ import annotations
@@ -17,39 +18,49 @@ import numpy as np
 _MAGIC = b"NNP1"
 
 
+def layer_views(flat: np.ndarray, widths) -> list:
+    """[W0, b0, W1, b1, ...] as reshaped views of one flat parameter vector."""
+    out = []
+    off = 0
+    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+        out.append(flat[off:off + fan_out * fan_in].reshape(fan_out, fan_in))
+        off += fan_out * fan_in
+        out.append(flat[off:off + fan_out])
+        off += fan_out
+    return out
+
+
 class Mlp:
-    """Fully connected net; weights[i] has shape (fan_out, fan_in)."""
+    """Fully connected net; weights[i] has shape (fan_out, fan_in).
+
+    Every weight and bias is a view of one contiguous float64 vector,
+    parameters(), laid out W0, b0, W1, b1, ... in row-major order.
+    """
 
     def __init__(self, widths, rng: np.random.Generator = None):
         widths = tuple(int(w) for w in widths)
         if len(widths) < 2 or min(widths) < 1:
             raise ValueError("widths needs at least an input and an output size")
         self.widths = widths
-        self.weights = []
-        self.biases = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            if rng is None:
-                w = np.zeros((fan_out, fan_in))
-            else:
+        self._params = np.zeros(sum(o * i + o for i, o in zip(widths[:-1],
+                                                              widths[1:])))
+        views = layer_views(self._params, widths)
+        self.weights = views[0::2]
+        self.biases = views[1::2]
+        if rng is not None:
+            for w in self.weights:
                 # scaled for ReLU so activation variance survives depth
-                w = rng.standard_normal((fan_out, fan_in)) * np.sqrt(2.0 / fan_in)
-            self.weights.append(w)
-            self.biases.append(np.zeros(fan_out))
+                w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[1])
 
     @property
     def num_layers(self) -> int:
         return len(self.weights)
 
-    def parameters(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+    def parameters(self) -> np.ndarray:
+        return self._params
 
     def copy_from(self, other: "Mlp") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            dst[...] = src
+        self._params[...] = other._params
 
     def clone(self) -> "Mlp":
         twin = Mlp(self.widths)
@@ -84,42 +95,44 @@ def forward_cached(net: Mlp, x: np.ndarray):
     return a, (pre, post)
 
 
-def backward_from_cache(net: Mlp, cache, upstream: np.ndarray) -> list:
-    """Parameter gradients given dLoss/dOutput from a cached forward."""
+def backward_from_cache(net: Mlp, cache, upstream: np.ndarray) -> np.ndarray:
+    """Parameter gradients given dLoss/dOutput from a cached forward.
+
+    Returns one vector in the layout of net.parameters().
+    """
     pre, post = cache
     g = np.atleast_2d(np.asarray(upstream, np.float64))
-    grads = [None] * (2 * net.num_layers)
+    grads = np.empty_like(net.parameters())
+    views = layer_views(grads, net.widths)
     for k in range(net.num_layers - 1, -1, -1):
-        grads[2 * k] = g.T @ post[k]
-        grads[2 * k + 1] = g.sum(axis=0)
+        views[2 * k][...] = g.T @ post[k]
+        views[2 * k + 1][...] = g.sum(axis=0)
         if k > 0:
             g = (g @ net.weights[k]) * (pre[k - 1] > 0.0)
     return grads
 
 
-def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> list:
+def backward(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     """Gradients of sum(upstream * output) w.r.t. every parameter.
 
-    Runs its own forward pass; order matches net.parameters(). upstream is
-    dLoss/dOutput with the same leading shape as x.
+    Runs its own forward pass; the layout matches net.parameters(). upstream
+    is dLoss/dOutput with the same leading shape as x.
     """
     _, cache = forward_cached(net, x)
     return backward_from_cache(net, cache, upstream)
 
 
-def input_gradient(net: Mlp, x: np.ndarray, upstream: np.ndarray) -> np.ndarray:
-    """dLoss/dInput for the same scalarization as backward()."""
-    single = np.ndim(x) == 1
-    _, (pre, _) = forward_cached(net, x)
+def input_gradient(net: Mlp, cache, upstream: np.ndarray) -> np.ndarray:
+    """dLoss/dInput, (batch, in), given dLoss/dOutput from a cached forward."""
+    pre, _ = cache
     g = np.atleast_2d(np.asarray(upstream, np.float64))
     for k in range(net.num_layers - 1, 0, -1):
         g = (g @ net.weights[k]) * (pre[k - 1] > 0.0)
-    g = g @ net.weights[0]
-    return g[0] if single else g
+    return g @ net.weights[0]
 
 
 class AdamState:
-    """First and second moment accumulators for one parameter list."""
+    """First and second moment accumulators for one parameter vector."""
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -127,23 +140,24 @@ class AdamState:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
 
 
-def adam_step(state: AdamState, params: list, grads: list) -> list:
+def adam_step(state: AdamState, params: np.ndarray,
+              grads: np.ndarray) -> np.ndarray:
     """One bias-corrected Adam update, applied to params in place."""
-    if len(params) != len(state.m) or len(grads) != len(state.m):
-        raise ValueError("parameter list does not match optimizer state")
+    if np.shape(params) != state.m.shape or np.shape(grads) != state.m.shape:
+        raise ValueError("parameter vector does not match optimizer state")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    params -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
     return params
 
 
@@ -156,7 +170,7 @@ def huber(err: np.ndarray, delta: float = 1.0):
     return value, grad
 
 
-GradCheckResult = namedtuple("GradCheckResult", "max_rel_error worst_param worst_index")
+GradCheckResult = namedtuple("GradCheckResult", "max_rel_error worst_index")
 
 
 def grad_check(net: Mlp, loss, x: np.ndarray,
@@ -164,28 +178,24 @@ def grad_check(net: Mlp, loss, x: np.ndarray,
     """Compare backprop against central finite differences on every parameter.
 
     loss maps the network output to (scalar value, dValue/dOutput). Returns
-    the worst relative disagreement and where it sat.
+    the worst relative disagreement and its index into net.parameters().
     """
     y = forward(net, x)
     _, upstream = loss(y)
     analytic = backward(net, x, upstream)
-    params = net.parameters()
-    worst = GradCheckResult(0.0, -1, ())
-    for pi, (p, g) in enumerate(zip(params, analytic)):
-        it = np.nditer(p, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            keep = p[idx]
-            p[idx] = keep + epsilon
-            up, _ = loss(forward(net, x))
-            p[idx] = keep - epsilon
-            dn, _ = loss(forward(net, x))
-            p[idx] = keep
-            numeric = (up - dn) / (2.0 * epsilon)
-            scale = max(abs(float(g[idx])), abs(numeric), 1e-8)
-            rel = abs(float(g[idx]) - numeric) / scale
-            if rel > worst.max_rel_error:
-                worst = GradCheckResult(rel, pi, idx)
+    p = net.parameters()
+    worst = GradCheckResult(0.0, -1)
+    for i, g in enumerate(analytic.tolist()):
+        keep = p[i]
+        p[i] = keep + epsilon
+        up, _ = loss(forward(net, x))
+        p[i] = keep - epsilon
+        dn, _ = loss(forward(net, x))
+        p[i] = keep
+        numeric = (up - dn) / (2.0 * epsilon)
+        rel = abs(g - numeric) / max(abs(g), abs(numeric), 1e-8)
+        if rel > worst.max_rel_error:
+            worst = GradCheckResult(rel, i)
     return worst
 
 
@@ -261,11 +271,6 @@ def pack_params(arrays) -> bytes:
     return b"".join(parts)
 
 
-def save_params(path, arrays) -> None:
-    with open(path, "wb") as f:
-        f.write(pack_params(arrays))
-
-
 def unpack_params(blob: bytes) -> list:
     if blob[:4] != _MAGIC:
         raise ValueError("not a recognized weight file (bad magic bytes)")
@@ -288,25 +293,3 @@ def unpack_params(blob: bytes) -> list:
     if off != len(blob):
         raise ValueError("trailing bytes after weight payload")
     return out
-
-
-def load_params(path) -> list:
-    with open(path, "rb") as f:
-        return unpack_params(f.read())
-
-
-def save_mlp(path, net: Mlp) -> None:
-    save_params(path, net.parameters())
-
-
-def load_mlp(path) -> Mlp:
-    arrays = load_params(path)
-    if len(arrays) % 2 != 0 or not arrays:
-        raise ValueError("weight file does not hold an alternating W, b list")
-    widths = [arrays[0].shape[1]] + [w.shape[0] for w in arrays[0::2]]
-    net = Mlp(widths)
-    for dst, src in zip(net.parameters(), arrays):
-        if dst.shape != src.shape:
-            raise ValueError("weight file shapes are inconsistent")
-        dst[...] = src
-    return net

@@ -75,11 +75,6 @@ class PowerSet:
         return 10.0 ** ((self.levels_dbm - 30.0) / 10.0)
 
 
-def default_power_set() -> PowerSet:
-    """Ten levels, 21 dBm through 30 dBm in 1 dB steps."""
-    return PowerSet(levels_dbm=np.arange(21.0, 31.0, 1.0))
-
-
 @dataclass
 class TxConfig:
     """Per-cell transmit choice: index into the power set and the codebook."""
@@ -117,14 +112,6 @@ def noise_power_watts(bandwidth_hz: float, noise_figure_db: float) -> float:
     """Thermal noise floor: -174 dBm/Hz plus bandwidth and receiver noise figure."""
     dbm = -174.0 + 10.0 * math.log10(bandwidth_hz) + noise_figure_db
     return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def received_power(p_watts: float, h: np.ndarray, w: np.ndarray) -> float:
-    """P |h^H w|^2 for a single link and codeword."""
-    if h.shape != w.shape:
-        raise ValueError(f"channel shape {h.shape} does not match codeword {w.shape}")
-    amp = np.vdot(h, w)
-    return p_watts * (amp.real * amp.real + amp.imag * amp.imag)
 
 
 @dataclass

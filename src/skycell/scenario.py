@@ -79,7 +79,6 @@ class ScenarioRealization:
     config: ScenarioConfig
     bs_positions: tuple
     user_positions: tuple
-    serving: tuple
     los: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -118,6 +117,5 @@ def place_users(config: ScenarioConfig, layout: list[Vec3],
         config=config,
         bs_positions=tuple(layout),
         user_positions=tuple(users),
-        serving=tuple(range(n)),
         los=los,
     )

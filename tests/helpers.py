@@ -1,9 +1,12 @@
 """Shared builders for the test suite."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from skycell import neural
+from skycell.agents.wolpertinger import knn_actions_batch
 from skycell.channel import PathLossParams, realize_network_channels
 from skycell.radio import LinkBudget, MeasurementReport
 from skycell.scenario import ScenarioConfig, build_layout, place_users
@@ -162,3 +165,147 @@ def reference_step(env, moves):
         info["measured_sinr"] = np.array([m.measured_sinr for m in reports])
         info["rsrq"] = np.array([m.rsrq for m in reports])
     return float(reward), info, _reference_features(env, tx)
+
+
+# ---------------------------------------------------------------------------
+# per-array parameter updates: every weight and bias its own array, the layout
+# before each network became one flat vector; an oracle for the train steps
+
+
+class ListNet:
+    """A copy of an Mlp's weights as separate per-layer arrays."""
+
+    def __init__(self, net):
+        self.widths = net.widths
+        self.weights = [w.copy() for w in net.weights]
+        self.biases = [b.copy() for b in net.biases]
+
+    @property
+    def num_layers(self):
+        return len(self.weights)
+
+    def parameters(self):
+        return [a for pair in zip(self.weights, self.biases) for a in pair]
+
+
+def flat(arrays):
+    """Per-layer arrays concatenated in the Mlp.parameters() layout."""
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
+def list_backward_from_cache(net, cache, upstream):
+    pre, post = cache
+    g = np.atleast_2d(np.asarray(upstream, np.float64))
+    grads = [None] * (2 * net.num_layers)
+    for k in range(net.num_layers - 1, -1, -1):
+        grads[2 * k] = g.T @ post[k]
+        grads[2 * k + 1] = g.sum(axis=0)
+        if k > 0:
+            g = (g @ net.weights[k]) * (pre[k - 1] > 0.0)
+    return grads
+
+
+def list_input_gradient(net, x, upstream):
+    """dLoss/dInput with its own forward pass."""
+    _, (pre, _) = neural.forward_cached(net, x)
+    g = np.atleast_2d(np.asarray(upstream, np.float64))
+    for k in range(net.num_layers - 1, 0, -1):
+        g = (g @ net.weights[k]) * (pre[k - 1] > 0.0)
+    return g @ net.weights[0]
+
+
+def list_adam(net, opt):
+    """Per-array moments with the hyperparameters of a flat AdamState."""
+    return SimpleNamespace(lr=opt.lr, beta1=opt.beta1, beta2=opt.beta2,
+                           eps=opt.eps, t=opt.t,
+                           m=[np.zeros_like(p) for p in net.parameters()],
+                           v=[np.zeros_like(p) for p in net.parameters()])
+
+
+def list_adam_step(state, params, grads):
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
+def list_soft_update(target, online, tau):
+    for t, o in zip(target.parameters(), online.parameters()):
+        t *= 1.0 - tau
+        t += tau * o
+
+
+def list_hard_sync(target, online):
+    for t, o in zip(target.parameters(), online.parameters()):
+        t[...] = o
+
+
+def list_agent(agent, nets):
+    """A per-array twin of agent: its named nets, one Adam state per opt."""
+    twin = SimpleNamespace(config=agent.config,
+                           train_calls=getattr(agent, "train_calls", 0))
+    for name in nets:
+        setattr(twin, name, ListNet(getattr(agent, name)))
+    for name, opt in vars(agent).items():
+        if isinstance(opt, neural.AdamState):
+            net = getattr(twin, {"opt": "online", "actor_opt": "actor",
+                                 "critic_opt": "critic"}[name])
+            setattr(twin, name, list_adam(net, opt))
+    return twin
+
+
+def list_q_td_step(agent, batch):
+    """agents.training.q_td_step on a list_agent twin."""
+    c = agent.config
+    bootstrap = neural.forward(agent.target, batch.next_states).max(axis=1)
+    targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
+    out, cache = neural.forward_cached(agent.online, batch.states)
+    rows = np.arange(out.shape[0])
+    acts = batch.actions.astype(np.int64)
+    loss, dloss = neural.huber(out[rows, acts] - targets)
+    upstream = np.zeros_like(out)
+    upstream[rows, acts] = dloss / out.shape[0]
+    grads = list_backward_from_cache(agent.online, cache, upstream)
+    list_adam_step(agent.opt, agent.online.parameters(), grads)
+    agent.train_calls += 1
+    if agent.train_calls % c.target_sync == 0:
+        list_hard_sync(agent.target, agent.online)
+    return float(loss.mean())
+
+
+def list_wolpertinger_train_step(agent, batch):
+    """wolpertinger_train_step on a list_agent twin."""
+    c = agent.config
+    n = batch.states.shape[0]
+    proto_next = neural.forward(agent.actor_target, batch.next_states)
+    proto_next = 1.0 / (1.0 + np.exp(-proto_next))
+    cands = knn_actions_batch(proto_next, c.k).reshape(n * c.k, -1)
+    x_next = np.concatenate([np.repeat(batch.next_states, c.k, axis=0),
+                             cands.astype(np.float64)], axis=1)
+    q_next = neural.forward(agent.critic_target, x_next)[:, 0]
+    bootstrap = q_next.reshape(n, c.k).max(axis=1)
+    targets = batch.rewards + c.gamma * np.where(batch.dones, 0.0, bootstrap)
+    x = np.concatenate([batch.states, batch.actions.astype(np.float64)], axis=1)
+    q, cache = neural.forward_cached(agent.critic, x)
+    loss, dloss = neural.huber(q[:, 0] - targets)
+    grads = list_backward_from_cache(agent.critic, cache, (dloss / n)[:, None])
+    list_adam_step(agent.critic_opt, agent.critic.parameters(), grads)
+
+    z, cache = neural.forward_cached(agent.actor, batch.states)
+    proto = 1.0 / (1.0 + np.exp(-z))
+    x = np.concatenate([batch.states, proto], axis=1)
+    q = neural.forward(agent.critic, x)
+    dq_dx = list_input_gradient(agent.critic, x, np.ones_like(q) / n)
+    dq_da = dq_dx[:, batch.states.shape[1]:]
+    grads = list_backward_from_cache(agent.actor, cache,
+                                     -dq_da * proto * (1.0 - proto))
+    list_adam_step(agent.actor_opt, agent.actor.parameters(), grads)
+
+    list_soft_update(agent.actor_target, agent.actor, c.tau)
+    list_soft_update(agent.critic_target, agent.critic, c.tau)
+    return float(loss.mean()), float(q.mean())

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from skycell.channel import (ChannelSet, PathLossParams, array_response,
-                             draw_link_channel, free_space_path_loss_db,
-                             link_distance_3d, path_loss_db,
+                             draw_link_channel, link_distance_3d, path_loss_db,
                              realize_network_channels)
 from skycell.scenario import ScenarioConfig, Vec3, build_layout, place_users
 
@@ -38,18 +37,6 @@ def test_path_loss_clamps_below_one_meter():
     params = PathLossParams()
     assert path_loss_db(0.25, True, params) == path_loss_db(1.0, True, params)
     assert path_loss_db(0.25, False, params) == path_loss_db(1.0, False, params)
-
-
-def test_free_space_loss_has_no_clamp():
-    wavelength = 0.125
-    d0 = wavelength / (4.0 * math.pi)
-    np.testing.assert_allclose(free_space_path_loss_db(d0, wavelength), 0.0,
-                               atol=1e-12)
-    np.testing.assert_allclose(free_space_path_loss_db(10.0 * d0, wavelength),
-                               20.0, atol=1e-12)
-    # still varies below one meter, unlike the clamped log-distance law
-    assert (free_space_path_loss_db(0.25, wavelength)
-            != free_space_path_loss_db(0.5, wavelength))
 
 
 def test_los_link_is_a_scaled_steering_vector():

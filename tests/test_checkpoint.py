@@ -1,5 +1,6 @@
 """Single-file save and restore for every agent kind."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 
 from skycell.agents.checkpoint import load_checkpoint, save_checkpoint
 from skycell.agents.dqn import DqnAgent, DqnConfig
-from skycell.agents.sequential import SequentialConfig, sequential_train
+from skycell.agents.sequential import (CellAgent, SequentialConfig,
+                                       SequentialResult, sequential_train)
 from skycell.agents.wolpertinger import (WolpertingerAgent, WolpertingerConfig,
                                          wolpertinger_act)
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
@@ -33,8 +35,8 @@ def test_dqn_roundtrip(tmp_path):
     for _ in range(5):
         f = rng.random(10)
         assert np.array_equal(agent.q_values(f), back.q_values(f))
-    for o, t in zip(back.online.parameters(), back.target.parameters()):
-        assert np.array_equal(o, t)
+    assert np.array_equal(back.online.parameters(), agent.online.parameters())
+    assert np.array_equal(back.target.parameters(), back.online.parameters())
 
 
 def test_wolpertinger_roundtrip(tmp_path):
@@ -125,3 +127,36 @@ def test_rejects_truncated_payload(tmp_path):
     path.write_bytes(blob[:len(blob) - 40])
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+# sha256 of each seeded agent's file, taken when every network still kept
+# its weights as separate per-layer arrays; the payload format must not drift
+PINNED = {
+    "dqn": "b871219cae5744723f57c280f3ef3d872f26242df7557da896584f15474da2d2",
+    "wolpertinger":
+        "7a8e9d45f319a0e81e18628249cd73fd0d2dde6a34872669d752cc85f839d6c6",
+    "sequential":
+        "b1cc8a3e9a7d83a6e226466f73555f19c1b47947718a33203bfa463794f19cfb",
+}
+
+
+def _seeded(kind):
+    if kind == "dqn":
+        return DqnAgent(10, 2, DqnConfig(hidden=(24, 16)), seed=4)
+    if kind == "wolpertinger":
+        return WolpertingerAgent(10, 2, WolpertingerConfig(hidden=(24, 16),
+                                                           k=6), seed=5)
+    config = SequentialConfig(hidden=(16, 8))
+    return SequentialResult(order=(1, 0), history={}, policies={
+        cell: CellAgent(10, config, seed=cell + 7) for cell in (1, 0)})
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED))
+def test_checkpoint_bytes_match_the_pinned_format(tmp_path, kind):
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(path, _seeded(kind))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED[kind]
+    # loading fills every network; saving the result writes the same bytes
+    again = tmp_path / "again.ckpt"
+    save_checkpoint(again, load_checkpoint(path))
+    assert again.read_bytes() == path.read_bytes()

@@ -15,9 +15,8 @@ from skycell.scenario import ScenarioConfig
 
 def _rig_outputs(agent, q_row):
     # zero every layer so the final bias alone sets the output vector
-    for p in agent.online.parameters():
-        p[...] = 0.0
-    agent.online.parameters()[-1][...] = np.asarray(q_row, dtype=float)
+    agent.online.parameters()[...] = 0.0
+    agent.online.biases[-1][...] = np.asarray(q_row, dtype=float)
 
 
 def _toy_env(horizon=25):
@@ -132,12 +131,12 @@ def test_target_network_is_a_delayed_copy():
     )
     for _ in range(4):
         dqn_train_step(agent, batch)
-    diffs = [float(np.abs(o - t).max()) for o, t in
-             zip(agent.online.parameters(), agent.target.parameters())]
-    assert max(diffs) > 0.0
+    assert not np.array_equal(agent.online.parameters(),
+                              agent.target.parameters())
     dqn_train_step(agent, batch)
-    for o, t in zip(agent.online.parameters(), agent.target.parameters()):
-        assert np.array_equal(o, t)
+    assert np.array_equal(agent.online.parameters(), agent.target.parameters())
+    assert not np.shares_memory(agent.online.parameters(),
+                                agent.target.parameters())
 
 
 def test_frozen_toy_reaches_brute_force_optimum():

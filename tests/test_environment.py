@@ -8,9 +8,9 @@ from helpers import (reference_budgets, reference_reports, reference_step,
 from skycell import kernels
 from skycell.channel import ChannelSet
 from skycell.environment import (REWARD_KINDS, EnvConfig, NetworkEnv,
-                                 RewardSpec, action_from_index, apply_action,
-                                 compute_reward, enumerate_actions,
-                                 index_from_action, num_actions, reward_terms)
+                                 RewardSpec, action_from_index, compute_reward,
+                                 enumerate_actions, index_from_action,
+                                 num_actions)
 from skycell.radio import LinkBudget, MeasurementReport, TxConfig
 from skycell.scenario import ScenarioConfig
 
@@ -46,11 +46,9 @@ def test_threshold_is_strict_and_penalty_unscaled():
     budgets = _budgets([1.0, 3.0], [10.0, 30.0])
     # 0 dB threshold equals the weakest sinr exactly: at-threshold fails
     spec = RewardSpec(kind="global_sinr", gamma_min_db=0.0, penalty=-1.0)
-    value, violated = reward_terms(spec, budgets, per_cell=True)
-    assert (value, violated) == (-1.0, True)
+    assert compute_reward(spec, budgets, per_cell=True) == -1.0
     above = _budgets([1.0 + 1e-9, 3.0], [10.0, 30.0])
-    value, violated = reward_terms(spec, above)
-    assert not violated and value > 4.0 - 1e-6
+    assert compute_reward(spec, above) > 4.0 - 1e-6
 
 
 def test_measured_families_need_reports():
@@ -66,9 +64,7 @@ def test_measured_families_need_reports():
 def test_rsrq_reward_carries_no_threshold():
     reports = _reports([2.0, 2.0], [0.3, 0.6])
     spec = RewardSpec(kind="rsrq", gamma_min_db=60.0)
-    value, violated = reward_terms(spec, measurements=reports)
-    np.testing.assert_allclose(value, 0.9)
-    assert not violated
+    np.testing.assert_allclose(compute_reward(spec, measurements=reports), 0.9)
 
 
 def test_reward_spec_validation():
@@ -104,28 +100,47 @@ def test_action_index_roundtrip_and_enumeration():
         enumerate_actions(12)
 
 
+def _env_at(power_idx, beam_idx):
+    # two cells, four power levels, eight beams, set to the given indices
+    env = _env(power_levels_dbm=(27.0, 28.0, 29.0, 30.0), codebook_size=8)
+    env.reset(0)
+    env.tx = TxConfig(power_idx=np.array(power_idx),
+                      beam_idx=np.array(beam_idx))
+    return env
+
+
+def _indices(env):
+    return env.tx.power_idx.tolist(), env.tx.beam_idx.tolist()
+
+
 def test_interior_moves_have_inverses():
-    tx = TxConfig(power_idx=np.array([1, 2]), beam_idx=np.array([3, 4]))
+    env = _env_at([1, 2], [3, 4])
     action = np.array([1, 0, 0, 1])
-    inverse = 1 - action
-    moved = apply_action(tx, action, num_levels=4, num_beams=8)
-    back = apply_action(moved, inverse, num_levels=4, num_beams=8)
-    np.testing.assert_array_equal(back.power_idx, tx.power_idx)
-    np.testing.assert_array_equal(back.beam_idx, tx.beam_idx)
+    env.step(action)
+    assert _indices(env) == ([2, 1], [2, 5])
+    env.step(1 - action)
+    assert _indices(env) == ([1, 2], [3, 4])
+    env.step_cells({1: (0, 1)})
+    env.step_cells({1: (1, 0)})
+    assert _indices(env) == ([1, 2], [3, 4])
 
 
 def test_powers_clamp_and_beams_wrap():
-    tx = TxConfig(power_idx=np.array([0, 3]), beam_idx=np.array([0, 7]))
-    down = apply_action(tx, [0, 0, 0, 0], num_levels=4, num_beams=8)
-    np.testing.assert_array_equal(down.power_idx, [0, 2])
-    np.testing.assert_array_equal(down.beam_idx, [7, 6])
-    up = apply_action(tx, [1, 1, 1, 1], num_levels=4, num_beams=8)
-    np.testing.assert_array_equal(up.power_idx, [1, 3])
-    np.testing.assert_array_equal(up.beam_idx, [1, 0])
+    env = _env_at([0, 3], [0, 7])
+    env.step([0, 0, 0, 0])
+    assert _indices(env) == ([0, 2], [7, 6])
+    env = _env_at([0, 3], [0, 7])
+    env.step([1, 1, 1, 1])
+    assert _indices(env) == ([1, 3], [1, 0])
+    env = _env_at([0, 3], [0, 7])
+    env.step_cells({1: (1, 1)})
+    assert _indices(env) == ([0, 3], [0, 0])
+    for bad in ([1, 0, 1], [1, 0, 1, 2]):
+        with pytest.raises(ValueError):
+            env.step(bad)
     with pytest.raises(ValueError):
-        apply_action(tx, [1, 0, 1], num_levels=4, num_beams=8)
-    with pytest.raises(ValueError):
-        apply_action(tx, [1, 0, 1, 2], num_levels=4, num_beams=8)
+        env.step_cells({0: (2, 0)})
+    assert _indices(env) == ([0, 3], [0, 0])  # rejected moves change nothing
 
 
 def _env(num_cells=2, **kw):

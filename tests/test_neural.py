@@ -14,7 +14,8 @@ def test_mlp_validation_and_zero_init():
     with pytest.raises(ValueError):
         neural.Mlp((4, 0, 2))
     net = neural.Mlp((3, 2))
-    assert all(np.all(p == 0.0) for p in net.parameters())
+    assert net.parameters().shape == (8,)
+    assert np.all(net.parameters() == 0.0)
 
 
 def test_mlp_he_scale():
@@ -57,9 +58,9 @@ def test_backward_single_linear_layer_squared_loss():
     y = neural.forward(net, x)[0]
     upstream = np.array([2.0 * (y - target)])
     grads = neural.backward(net, x, upstream)
-    np.testing.assert_allclose(grads[0], 2.0 * (y - target) * x[None, :],
-                               rtol=1e-12)
-    np.testing.assert_allclose(grads[1], [2.0 * (y - target)], rtol=1e-12)
+    assert grads.shape == net.parameters().shape
+    np.testing.assert_allclose(grads, [*(2.0 * (y - target) * x),
+                                       2.0 * (y - target)], rtol=1e-12)
 
 
 def _sq_loss(target):
@@ -85,9 +86,7 @@ def test_grad_check_three_layer_rectifier_net():
                                epsilon=1e-5)
     assert result.max_rel_error <= 1e-4
     # the report locates a real parameter coordinate
-    params = net.parameters()
-    assert 0 <= result.worst_param < len(params)
-    assert params[result.worst_param][result.worst_index] is not None
+    assert 0 <= result.worst_index < net.parameters().size
 
 
 def test_grad_check_flags_a_corrupted_gradient():
@@ -107,7 +106,8 @@ def test_input_gradient_matches_finite_differences():
     net = neural.Mlp((4, 8, 2), rng)
     x = rng.standard_normal(4)
     upstream = rng.standard_normal(2)
-    g = neural.input_gradient(net, x, upstream)
+    _, cache = neural.forward_cached(net, x)
+    g = neural.input_gradient(net, cache, upstream)[0]
     eps = 1e-6
     for i in range(4):
         bumped = x.copy()
@@ -120,36 +120,36 @@ def test_input_gradient_matches_finite_differences():
 
 
 def test_adam_with_zero_betas_is_normalized_sgd():
-    params = [np.array([1.0, -2.0, 3.0])]
-    grads = [np.array([0.5, -4.0, 1e-3])]
+    params = np.array([1.0, -2.0, 3.0])
+    grads = np.array([0.5, -4.0, 1e-3])
     state = neural.AdamState(params, lr=0.01, beta1=0.0, beta2=0.0)
-    before = params[0].copy()
+    before = params.copy()
     neural.adam_step(state, params, grads)
-    step = before - params[0]
-    np.testing.assert_allclose(step, 0.01 * np.sign(grads[0]), rtol=1e-4)
+    np.testing.assert_allclose(before - params, 0.01 * np.sign(grads),
+                               rtol=1e-4)
 
 
 def test_adam_descends_a_parabola():
     # strict decrease holds until the iterate enters the lr-sized neighborhood
     # of the optimum (step 11 from w=1 at lr=0.1); momentum then overshoots
     # zero, so the tail is only required to stay small
-    params = [np.array([1.0])]
+    params = np.array([1.0])
     state = neural.AdamState(params, lr=0.1)
-    history = [abs(params[0][0])]
+    history = [abs(params[0])]
     for _ in range(25):
-        neural.adam_step(state, params, [2.0 * params[0]])
-        history.append(abs(params[0][0]))
+        neural.adam_step(state, params, 2.0 * params)
+        history.append(abs(params[0]))
     assert all(b < a for a, b in zip(history[:10], history[1:11]))
     assert min(history) < 0.01
     assert max(history[11:]) < 0.3
 
 
 def test_adam_rejects_mismatched_parameter_lists():
-    params = [np.zeros(3)]
-    state = neural.AdamState(params)
+    state = neural.AdamState(np.zeros(3))
     with pytest.raises(ValueError):
-        neural.adam_step(state, params + [np.zeros(2)],
-                         [np.zeros(3), np.zeros(2)])
+        neural.adam_step(state, np.zeros(5), np.zeros(5))
+    with pytest.raises(ValueError):
+        neural.adam_step(state, np.zeros(3), np.zeros(2))
 
 
 def test_huber_value_and_slope():
@@ -213,59 +213,50 @@ def test_replay_survives_concurrent_pushes():
                                0.5)
 
 
-def test_weight_file_roundtrip_is_bitwise(tmp_path):
+def test_weight_file_roundtrip_is_bitwise():
     rng = np.random.default_rng(6)
     arrays = [rng.standard_normal((3, 4)), rng.standard_normal(5),
               np.array(2.5), rng.standard_normal((2, 2, 2))]
-    path = tmp_path / "w.bin"
-    neural.save_params(path, arrays)
-    loaded = neural.load_params(path)
+    loaded = neural.unpack_params(neural.pack_params(arrays))
     assert len(loaded) == 4
     for a, b in zip(arrays, loaded):
         np.testing.assert_array_equal(a, b)
 
 
-def test_weight_file_rejects_corruption(tmp_path):
-    path = tmp_path / "w.bin"
-    neural.save_params(path, [np.ones((2, 2))])
-    blob = path.read_bytes()
-
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXX" + blob[4:])
+def test_weight_file_rejects_corruption():
+    blob = neural.pack_params([np.ones((2, 2))])
+    with pytest.raises(ValueError, match="bad magic"):
+        neural.unpack_params(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
-        neural.load_params(bad)
-
-    bad.write_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        neural.load_params(bad)
-
-    bad.write_bytes(blob + b"\x00")
-    with pytest.raises(ValueError):
-        neural.load_params(bad)
+        neural.unpack_params(blob[:-8])
+    with pytest.raises(ValueError, match="truncated"):
+        neural.unpack_params(blob[:10])
+    with pytest.raises(ValueError, match="trailing bytes"):
+        neural.unpack_params(blob + b"\x00")
 
 
-def test_mlp_file_roundtrip_preserves_the_function(tmp_path):
-    rng = np.random.default_rng(7)
+def test_weights_and_biases_are_views_of_the_parameter_vector():
+    rng = np.random.default_rng(9)
     net = neural.Mlp((4, 8, 2), rng)
-    path = tmp_path / "net.bin"
-    neural.save_mlp(path, net)
-    twin = neural.load_mlp(path)
-    assert twin.widths == (4, 8, 2)
-    x = rng.standard_normal((5, 4))
-    np.testing.assert_array_equal(neural.forward(twin, x),
-                                  neural.forward(net, x))
-
-
-def test_mlp_file_needs_weight_bias_pairs(tmp_path):
-    path = tmp_path / "odd.bin"
-    neural.save_params(path, [np.ones((2, 2))])
-    with pytest.raises(ValueError):
-        neural.load_mlp(path)
+    params = net.parameters()
+    assert params.ndim == 1 and params.flags.c_contiguous
+    assert params.size == 4 * 8 + 8 + 8 * 2 + 2
+    for a in net.weights + net.biases:
+        assert np.shares_memory(a, params)
+    net.biases[1][...] = [3.0, -3.0]
+    np.testing.assert_array_equal(params[-2:], [3.0, -3.0])
+    params[:32] = 0.5
+    assert np.all(net.weights[0] == 0.5)
+    # gradients share the layout: the last entries are the output biases
+    grads = neural.backward(net, rng.standard_normal((3, 4)), np.ones((3, 2)))
+    np.testing.assert_array_equal(grads[-2:], [3.0, 3.0])
 
 
 def test_clone_is_a_deep_copy():
     rng = np.random.default_rng(8)
     net = neural.Mlp((3, 3), rng)
     twin = net.clone()
+    assert np.array_equal(twin.parameters(), net.parameters())
+    assert not np.shares_memory(twin.parameters(), net.parameters())
     twin.weights[0][0, 0] += 1.0
     assert net.weights[0][0, 0] != twin.weights[0][0, 0]

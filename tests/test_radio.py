@@ -9,9 +9,9 @@ from helpers import (drawn_channels, rx_matrix_from_channels, sinr_all,
                      sum_rate)
 from skycell import kernels
 from skycell.channel import ChannelSet
-from skycell.radio import (PowerSet, TxConfig, default_power_set, dft_codebook,
-                           link_state, noise_power_watts, probe_measurements,
-                           received_power)
+from skycell.environment import EnvConfig, NetworkEnv
+from skycell.radio import (PowerSet, TxConfig, dft_codebook, link_state,
+                           noise_power_watts, probe_measurements)
 
 
 def test_codebook_angles_follow_the_sine_grid():
@@ -41,7 +41,7 @@ def test_codewords_are_write_protected():
 
 
 def test_default_power_set_spans_21_to_30_dbm():
-    ps = default_power_set()
+    ps = NetworkEnv(EnvConfig()).powers
     np.testing.assert_array_equal(ps.levels_dbm, np.arange(21.0, 31.0))
     watts = ps.watts()
     assert watts[-1] == 1.0
@@ -63,11 +63,15 @@ def test_noise_floor_at_default_bandwidth_and_figure():
 
 
 def test_received_power_hand_case():
-    h = np.array([1.0, 1.0j])
-    w = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    np.testing.assert_allclose(received_power(2.0, h, w), 2.0, rtol=1e-12)
+    # P |h^H w|^2 = 2 |(1 - i) / sqrt(2)|^2 = 2
+    h = np.array([[[1.0, 1.0j]]])
+    w = np.array([[1.0, 1.0]]) / math.sqrt(2.0)
+    gains = kernels.beam_gains(h, w)
+    np.testing.assert_allclose(gains, [[[1.0]]], rtol=1e-12)
+    signal, _ = kernels.rx_powers(gains, np.array([2.0]), np.array([0]))
+    np.testing.assert_allclose(signal, [2.0], rtol=1e-12)
     with pytest.raises(ValueError):
-        received_power(1.0, h, np.ones(3))
+        kernels.beam_gains(h, np.ones((1, 3)))
 
 
 def test_sinr_hand_case_two_cells_one_antenna():
@@ -100,7 +104,7 @@ def test_sinr_hand_case_two_cells_one_antenna():
 def _random_instance(seed, num_cells=3):
     _, channels = drawn_channels(seed, num_cells)
     cb = dft_codebook(4, 8)
-    powers = default_power_set()
+    powers = PowerSet(levels_dbm=np.arange(21.0, 31.0))
     rng = np.random.default_rng(seed + 1000)
     tx = TxConfig(power_idx=rng.integers(0, powers.num_levels, num_cells),
                   beam_idx=rng.integers(0, cb.size, num_cells))

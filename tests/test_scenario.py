@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from skycell.channel import link_distance_3d
+from skycell.environment import EnvConfig, NetworkEnv
 from skycell.scenario import (ScenarioConfig, Vec3, _hex_spiral, build_layout,
                               place_users)
 
@@ -67,9 +68,14 @@ def test_cell_edge_placement_uses_the_outer_annulus():
 
 
 def test_each_user_is_served_by_its_own_cell():
-    config = ScenarioConfig(num_cells=5)
-    real = place_users(config, build_layout(config), np.random.default_rng(0))
-    assert real.serving == (0, 1, 2, 3, 4)
+    # user l's signal is the power cell l alone sends it: the diagonal link
+    env = NetworkEnv(EnvConfig(scenario=ScenarioConfig(num_cells=5)))
+    env.reset(0)
+    cells = np.arange(5)
+    p = env.powers.watts()[env.tx.power_idx]
+    np.testing.assert_array_equal(
+        env.link_state().signal_w,
+        p * env.gains[cells, cells, env.tx.beam_idx])
 
 
 def test_los_matrix_shape_and_extremes():

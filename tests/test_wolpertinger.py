@@ -169,20 +169,18 @@ def test_actor_gradients_match_finite_differences():
         return float(forward(agent.critic, x).mean())
 
     grads, _ = actor_gradients(agent, states)
+    params = agent.actor.parameters()
+    assert grads.shape == params.shape
     eps = 1e-6
-    for p, g in zip(agent.actor.parameters(), grads):
-        flat = p.reshape(-1)
-        picks = rng.choice(flat.size, size=min(10, flat.size), replace=False)
-        for i in picks:
-            orig = flat[i]
-            flat[i] = orig + eps
-            up = objective()
-            flat[i] = orig - eps
-            down = objective()
-            flat[i] = orig
-            numeric = (up - down) / (2 * eps)
-            analytic = -g.reshape(-1)[i]
-            assert abs(analytic - numeric) <= 1e-3 * max(1.0, abs(numeric))
+    for i in range(params.size):
+        orig = params[i]
+        params[i] = orig + eps
+        up = objective()
+        params[i] = orig - eps
+        down = objective()
+        params[i] = orig
+        numeric = (up - down) / (2 * eps)
+        assert abs(-grads[i] - numeric) <= 1e-3 * max(1.0, abs(numeric))
 
 
 def test_actor_converges_against_synthetic_value_landscape():
@@ -213,19 +211,13 @@ def test_train_step_soft_updates_targets():
         dones=np.zeros(8, dtype=bool),
     )
     tau = agent.config.tau
-    actor_before = [t.copy() for t in agent.actor_target.parameters()]
-    critic_before = [t.copy() for t in agent.critic_target.parameters()]
+    nets = (("actor_target", "actor"), ("critic_target", "critic"))
+    before = {t: getattr(agent, t).parameters().copy() for t, _ in nets}
     wolpertinger_train_step(agent, batch)
-    for t, before, o in zip(agent.actor_target.parameters(), actor_before,
-                            agent.actor.parameters()):
-        expected = before * (1.0 - tau)
-        expected += tau * o
-        assert np.array_equal(t, expected)
-    for t, before, o in zip(agent.critic_target.parameters(), critic_before,
-                            agent.critic.parameters()):
-        expected = before * (1.0 - tau)
-        expected += tau * o
-        assert np.array_equal(t, expected)
+    for t, o in nets:
+        expected = before[t] * (1.0 - tau)
+        expected += tau * getattr(agent, o).parameters()
+        assert np.array_equal(getattr(agent, t).parameters(), expected)
 
 
 def _reference_train_step(agent, batch):
@@ -279,9 +271,8 @@ def test_train_step_matches_per_row_reference(num_cells):
             _reference_train_step(agents[1], batch)
     new, ref = agents
     for net in ("actor", "critic", "actor_target", "critic_target"):
-        for a, b in zip(getattr(new, net).parameters(),
-                        getattr(ref, net).parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(getattr(new, net).parameters(),
+                              getattr(ref, net).parameters())
 
 
 def test_full_k_toy_run_keeps_pace_with_dqn():
