@@ -1,6 +1,5 @@
 """Learning controllers for the joint power and beam task."""
 
-from .q_table import QTable, q_update
 from .dqn import DqnAgent, DqnConfig, dqn_act, dqn_train_step, train_dqn
 from .wolpertinger import (WolpertingerAgent, WolpertingerConfig, knn_actions,
                            knn_actions_batch, wolpertinger_act,
@@ -10,7 +9,6 @@ from .sequential import (SequentialConfig, SequentialResult, rank_cells,
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "QTable", "q_update",
     "DqnAgent", "DqnConfig", "dqn_act", "dqn_train_step", "train_dqn",
     "WolpertingerAgent", "WolpertingerConfig", "knn_actions",
     "knn_actions_batch", "wolpertinger_act", "wolpertinger_train_step",

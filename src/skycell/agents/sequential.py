@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import neural
+from ..channel import link_distances
 from ..environment import NetworkEnv
 from .training import linear_schedule, q_td_step, run_episodes
 
@@ -95,12 +96,10 @@ def rank_cells(env: NetworkEnv, metric: str = "rsrq",
     if metric == "rsrq":
         score = env.link_state(measured=True).rsrq.tolist()
     else:
-        from ..channel import link_distance_3d
-        score = []
-        for l in range(n):
-            user = env.realization.user_positions[l]
-            score.append(min(link_distance_3d(env.realization.bs_positions[j], user)
-                             for j in range(n) if j != l))
+        dist = link_distances(env.realization.bs_positions,
+                              env.realization.user_positions)
+        np.fill_diagonal(dist, np.inf)
+        score = dist.min(axis=0).tolist()
     return sorted(range(n), key=lambda l: (score[l], l))
 
 

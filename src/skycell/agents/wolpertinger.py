@@ -60,7 +60,8 @@ def knn_actions_batch(protos: np.ndarray, k: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=DENSE_MAX_WIDTH)
 def _corner_table(d: int) -> np.ndarray:
-    """All 2^d corners in binary index order, built as enumerate_actions."""
+    """All 2^d corners in binary index order; row i is
+    action_from_index(i, d // 2)."""
     shifts = np.arange(d - 1, -1, -1)
     table = (np.arange(1 << d)[:, None] >> shifts[None, :]) & 1
     table.flags.writeable = False

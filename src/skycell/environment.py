@@ -116,16 +116,6 @@ def index_from_action(action) -> int:
     return idx
 
 
-def enumerate_actions(num_cells: int) -> np.ndarray:
-    """All 2^(2L) action bit vectors, row i equal to action_from_index(i)."""
-    width = 2 * num_cells
-    if width > 22:
-        raise ValueError("refusing to materialize more than 2^22 actions")
-    count = 1 << width
-    shifts = np.arange(width - 1, -1, -1)
-    return ((np.arange(count)[:, None] >> shifts[None, :]) & 1).astype(np.int64)
-
-
 @dataclass(frozen=True)
 class StepOutcome:
     features: np.ndarray
@@ -173,13 +163,13 @@ class NetworkEnv:
         self.layout = build_layout(config.scenario)
         self._p_watts = self.powers.watts()
         radius = config.scenario.cell_radius_m
-        xs = [c.x for c in self.layout]
-        ys = [c.y for c in self.layout]
+        (x_lo, y_lo, _), (x_hi, y_hi, _) = (self.layout.min(axis=0),
+                                            self.layout.max(axis=0))
         z_lo, z_hi = config.scenario.user_altitude_range_m
         # user positions normalize to the layout's bounding box and altitude band
-        self._pos_lo = np.array([min(xs) - radius, min(ys) - radius, z_lo])
-        self._pos_span = np.array([(max(xs) - min(xs)) + 2 * radius,
-                                   (max(ys) - min(ys)) + 2 * radius,
+        self._pos_lo = np.array([x_lo - radius, y_lo - radius, z_lo])
+        self._pos_span = np.array([(x_hi - x_lo) + 2 * radius,
+                                   (y_hi - y_lo) + 2 * radius,
                                    max(z_hi - z_lo, 1e-12)])
         self.realization = None
         self.channels: Optional[ChannelSet] = None
@@ -213,8 +203,7 @@ class NetworkEnv:
         self.step_count = 0
         self.episode_seed = episode_seed
         # users do not move within an episode: the position block is final
-        pos = ((np.array(self.realization.user_positions, np.float64)
-                - self._pos_lo) / self._pos_span)
+        pos = (self.realization.user_positions - self._pos_lo) / self._pos_span
         self._features = np.concatenate((np.clip(pos.ravel(), 0.0, 1.0),
                                          np.zeros(2 * n)))
         return self.features()

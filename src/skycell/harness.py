@@ -230,10 +230,18 @@ def greedy_rollout(env: NetworkEnv, act_fn, episode_seed: int) -> dict:
             "episode_reward": float(total_reward)}
 
 
-def _eval_seeds(config: ExperimentConfig, num_cells: int, seed_index: int):
+def _frozen_seed(config, num_cells, seed_index):
+    # the one instance every training and evaluation episode of a
+    # frozen-channel run is drawn from
     if config.freeze_channels:
-        return [stream_seed(config.master_seed, "instance", num_cells,
-                            seed_index)]
+        return stream_seed(config.master_seed, "instance", num_cells, seed_index)
+    return None
+
+
+def _eval_seeds(config: ExperimentConfig, num_cells: int, seed_index: int):
+    frozen = _frozen_seed(config, num_cells, seed_index)
+    if frozen is not None:
+        return [frozen]
     return [stream_seed(config.master_seed, "eval", num_cells, seed_index, i)
             for i in range(config.eval_episodes)]
 
@@ -264,45 +272,7 @@ def _run_mrt(config, table, env, method, num_cells, seed_index):
     return rates, None
 
 
-def _run_random(config, table, env, method, num_cells, seed_index, rng):
-    rates, rewards = [], []
-    for es in _eval_seeds(config, num_cells, seed_index):
-        record = greedy_rollout(env, lambda f: random_policy(rng, num_cells), es)
-        rates.append(record["best_rate"])
-        rewards.append(record["episode_reward"])
-        table.add_samples(method, num_cells, record["sinr_db"])
-    return rates, rewards
-
-
-def _frozen_seed(config, num_cells, seed_index):
-    if config.freeze_channels:
-        return stream_seed(config.master_seed, "instance", num_cells, seed_index)
-    return None
-
-
-def _run_learner(config, table, env, method, base, num_cells, seed_index, rng):
-    frozen = _frozen_seed(config, num_cells, seed_index)
-    overrides = dict(config.agent.get(base, {}))
-    if base == "dqn":
-        agent = DqnAgent(5 * num_cells, num_cells,
-                         DqnConfig(**overrides),
-                         seed=int(rng.integers(2 ** 63)))
-        train_dqn(env, agent, config.train_episodes, rng, frozen_seed=frozen)
-        act_fn = lambda f: dqn_act(agent, f, 0.0)
-    elif base == "wolpertinger":
-        agent = WolpertingerAgent(5 * num_cells, num_cells,
-                                  WolpertingerConfig(**overrides),
-                                  seed=int(rng.integers(2 ** 63)))
-        train_wolpertinger(env, agent, config.train_episodes, rng,
-                           frozen_seed=frozen)
-        act_fn = lambda f: wolpertinger_act(agent, f)
-    else:
-        overrides.setdefault("episodes_per_agent",
-                             max(1, config.train_episodes // num_cells))
-        result = sequential_train(env, SequentialConfig(**overrides),
-                                  seed=int(rng.integers(2 ** 63)),
-                                  frozen_seed=frozen)
-        act_fn = result.joint_action
+def _run_policy(config, table, env, method, num_cells, seed_index, act_fn):
     rates, rewards = [], []
     for es in _eval_seeds(config, num_cells, seed_index):
         record = greedy_rollout(env, act_fn, es)
@@ -310,6 +280,31 @@ def _run_learner(config, table, env, method, base, num_cells, seed_index, rng):
         rewards.append(record["episode_reward"])
         table.add_samples(method, num_cells, record["sinr_db"])
     return rates, rewards
+
+
+def _train_learner(config, env, base, num_cells, seed_index, rng):
+    """Train one learner and return its greedy act_fn."""
+    frozen = _frozen_seed(config, num_cells, seed_index)
+    overrides = dict(config.agent.get(base, {}))
+    if base == "dqn":
+        agent = DqnAgent(5 * num_cells, num_cells,
+                         DqnConfig(**overrides),
+                         seed=int(rng.integers(2 ** 63)))
+        train_dqn(env, agent, config.train_episodes, rng, frozen_seed=frozen)
+        return lambda f: dqn_act(agent, f, 0.0)
+    if base == "wolpertinger":
+        agent = WolpertingerAgent(5 * num_cells, num_cells,
+                                  WolpertingerConfig(**overrides),
+                                  seed=int(rng.integers(2 ** 63)))
+        train_wolpertinger(env, agent, config.train_episodes, rng,
+                           frozen_seed=frozen)
+        return lambda f: wolpertinger_act(agent, f)
+    overrides.setdefault("episodes_per_agent",
+                         max(1, config.train_episodes // num_cells))
+    result = sequential_train(env, SequentialConfig(**overrides),
+                              seed=int(rng.integers(2 ** 63)),
+                              frozen_seed=frozen)
+    return result.joint_action
 
 
 def run_experiment(config: ExperimentConfig) -> MetricsTable:
@@ -333,14 +328,15 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
                     elif base == "mrt":
                         rates, rewards = _run_mrt(config, table, env, method,
                                                   num_cells, seed_index)
-                    elif base == "random":
-                        rates, rewards = _run_random(config, table, env,
-                                                     method, num_cells,
-                                                     seed_index, rng)
                     else:
-                        rates, rewards = _run_learner(config, table, env,
-                                                      method, base, num_cells,
-                                                      seed_index, rng)
+                        if base == "random":
+                            act_fn = lambda f: random_policy(rng, num_cells)
+                        else:
+                            act_fn = _train_learner(config, env, base,
+                                                    num_cells, seed_index, rng)
+                        rates, rewards = _run_policy(config, table, env,
+                                                     method, num_cells,
+                                                     seed_index, act_fn)
                 except BruteForceCapExceeded as exc:
                     table.skipped.append({"method": method, "L": num_cells,
                                           "seed": seed_index,

@@ -170,35 +170,6 @@ def huber(err: np.ndarray, delta: float = 1.0):
     return value, grad
 
 
-GradCheckResult = namedtuple("GradCheckResult", "max_rel_error worst_index")
-
-
-def grad_check(net: Mlp, loss, x: np.ndarray,
-               epsilon: float = 1e-6) -> GradCheckResult:
-    """Compare backprop against central finite differences on every parameter.
-
-    loss maps the network output to (scalar value, dValue/dOutput). Returns
-    the worst relative disagreement and its index into net.parameters().
-    """
-    y = forward(net, x)
-    _, upstream = loss(y)
-    analytic = backward(net, x, upstream)
-    p = net.parameters()
-    worst = GradCheckResult(0.0, -1)
-    for i, g in enumerate(analytic.tolist()):
-        keep = p[i]
-        p[i] = keep + epsilon
-        up, _ = loss(forward(net, x))
-        p[i] = keep - epsilon
-        dn, _ = loss(forward(net, x))
-        p[i] = keep
-        numeric = (up - dn) / (2.0 * epsilon)
-        rel = abs(g - numeric) / max(abs(g), abs(numeric), 1e-8)
-        if rel > worst.max_rel_error:
-            worst = GradCheckResult(rel, i)
-    return worst
-
-
 Batch = namedtuple("Batch", "states actions rewards next_states dones")
 
 
@@ -261,8 +232,11 @@ class ReplayBuffer:
 
 
 def pack_params(arrays) -> bytes:
-    """Encode arrays into the self-delimiting weight payload."""
-    arrays = [np.ascontiguousarray(a, np.float64) for a in arrays]
+    """Encode arrays of one or more dimensions into the self-delimiting
+    weight payload."""
+    arrays = [np.asarray(a, np.float64) for a in arrays]
+    if any(a.ndim == 0 for a in arrays):
+        raise ValueError("weight arrays must have at least one dimension")
     parts = [_MAGIC, struct.pack("<I", len(arrays))]
     for a in arrays:
         parts.append(struct.pack("<I", a.ndim))

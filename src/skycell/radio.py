@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import kernels
-from .channel import ChannelSet, array_response  # noqa: F401 (re-exported)
+from .channel import array_response
 
 
 @dataclass(frozen=True)
@@ -48,9 +48,7 @@ def dft_codebook(num_antennas: int, size: int) -> Codebook:
     if size < 1 or num_antennas < 1:
         raise ValueError("codebook dimensions must be positive")
     angles = np.arcsin(-1.0 + (2.0 * np.arange(size) + 1.0) / size)
-    rows = np.empty((size, num_antennas), np.complex128)
-    for i in range(size):
-        rows[i] = array_response(float(angles[i]), num_antennas) / math.sqrt(num_antennas)
+    rows = array_response(angles, num_antennas) / math.sqrt(num_antennas)
     return Codebook(codewords=rows, angles=angles)
 
 

@@ -10,15 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
-
-
-class Vec3(NamedTuple):
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -61,35 +54,38 @@ def _hex_spiral(n: int):
     return coords[:n]
 
 
-def build_layout(config: ScenarioConfig) -> list[Vec3]:
-    """Base station positions on the hexagonal lattice, cell 0 at the origin."""
+def build_layout(config: ScenarioConfig) -> np.ndarray:
+    """Read-only (L, 3) base station positions on the hexagonal lattice,
+    cell 0 at the origin."""
     spacing = 2.0 * config.cell_radius_m * math.cos(math.pi / 6.0)
-    out = []
-    for q, r in _hex_spiral(config.num_cells):
-        x = spacing * (q + 0.5 * r)
-        y = spacing * (math.sqrt(3.0) / 2.0) * r
-        out.append(Vec3(x, y, config.bs_height_m))
+    out = np.array([(spacing * (q + 0.5 * r),
+                     spacing * (math.sqrt(3.0) / 2.0) * r,
+                     config.bs_height_m)
+                    for q, r in _hex_spiral(config.num_cells)], np.float64)
+    out.setflags(write=False)
     return out
 
 
 @dataclass(frozen=True)
 class ScenarioRealization:
-    """One drawn network instance. Arrays are marked read-only after construction."""
+    """One drawn network instance: (L, 3) base station and user positions
+    and the (L, L) LoS matrix, all marked read-only after construction."""
 
     config: ScenarioConfig
-    bs_positions: tuple
-    user_positions: tuple
+    bs_positions: np.ndarray = field(repr=False)
+    user_positions: np.ndarray = field(repr=False)
     los: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.los.setflags(write=False)
+        for a in (self.bs_positions, self.user_positions, self.los):
+            a.setflags(write=False)
 
     @property
     def num_cells(self) -> int:
         return len(self.bs_positions)
 
 
-def place_users(config: ScenarioConfig, layout: list[Vec3],
+def place_users(config: ScenarioConfig, layout: np.ndarray,
                 rng: np.random.Generator) -> ScenarioRealization:
     """Draw one user per cell plus the per-link line-of-sight indicators.
 
@@ -102,7 +98,7 @@ def place_users(config: ScenarioConfig, layout: list[Vec3],
     radius = config.cell_radius_m
     z_lo, z_hi = config.user_altitude_range_m
     users = []
-    for l in range(n):
+    for cx, cy, _ in layout.tolist():
         u = rng.random()
         if config.user_placement == "uniform":
             r = radius * math.sqrt(u)
@@ -110,12 +106,8 @@ def place_users(config: ScenarioConfig, layout: list[Vec3],
             r = radius * (0.8 + 0.2 * u)
         phi = rng.uniform(0.0, 2.0 * math.pi)
         z = rng.uniform(z_lo, z_hi) if z_hi > z_lo else z_lo
-        c = layout[l]
-        users.append(Vec3(c.x + r * math.cos(phi), c.y + r * math.sin(phi), z))
+        users.append((cx + r * math.cos(phi), cy + r * math.sin(phi), z))
     los = rng.random((n, n)) < config.los_probability
-    return ScenarioRealization(
-        config=config,
-        bs_positions=tuple(layout),
-        user_positions=tuple(users),
-        los=los,
-    )
+    return ScenarioRealization(config=config, bs_positions=layout,
+                               user_positions=np.array(users, np.float64),
+                               los=los)

@@ -1,13 +1,16 @@
 """Shared builders for the test suite."""
 
 import math
+from collections import namedtuple
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from skycell import neural
 from skycell.agents.wolpertinger import knn_actions_batch
-from skycell.channel import PathLossParams, realize_network_channels
+from skycell.channel import (ChannelSet, PathLossParams, path_loss_db,
+                             realize_network_channels)
 from skycell.radio import LinkBudget, MeasurementReport
 from skycell.scenario import ScenarioConfig, build_layout, place_users
 
@@ -21,6 +24,62 @@ def drawn_channels(seed, num_cells=2, num_antennas=4, num_nlos_paths=3,
     channels = realize_network_channels(realization, num_antennas,
                                         PathLossParams(), rng, num_nlos_paths)
     return realization, channels
+
+
+# ---------------------------------------------------------------------------
+# per-link channel draw: Vec3 tuples and one Python call per link and per
+# scattered path, the draw before realize_network_channels became one
+# vectorised pass; an oracle for its bytes and its generator consumption
+
+
+class Vec3(NamedTuple):
+    x: float
+    y: float
+    z: float
+
+
+def scalar_array_response(theta: float, num_antennas: int) -> np.ndarray:
+    """ULA steering vector for one angle, through math.sin."""
+    m = np.arange(num_antennas)
+    return np.exp(1j * math.pi * m * math.sin(theta))
+
+
+def link_distance_3d(bs: Vec3, user: Vec3) -> float:
+    return math.sqrt((bs.x - user.x) ** 2 + (bs.y - user.y) ** 2
+                     + (bs.z - user.z) ** 2)
+
+
+def draw_link_channel(bs: Vec3, user: Vec3, los: bool, num_antennas: int,
+                      params, rng, num_nlos_paths=3):
+    """One (M,) complex channel vector for a single BS-to-user link."""
+    d = link_distance_3d(bs, user)
+    g = 10.0 ** (-path_loss_db(d, los, params) / 10.0)
+    if los:
+        azimuth = math.atan2(user.y - bs.y, user.x - bs.x)
+        return math.sqrt(g) * scalar_array_response(azimuth, num_antennas)
+    amp = (rng.standard_normal(num_nlos_paths)
+           + 1j * rng.standard_normal(num_nlos_paths)) / math.sqrt(2.0)
+    angles = rng.uniform(-math.pi / 2.0, math.pi / 2.0, num_nlos_paths)
+    h = np.zeros(num_antennas, np.complex128)
+    for p in range(num_nlos_paths):
+        h += amp[p] * scalar_array_response(angles[p], num_antennas)
+    return math.sqrt(g / num_nlos_paths) * h
+
+
+def reference_network_channels(scenario, num_antennas, params, rng,
+                               num_nlos_paths=3):
+    """realize_network_channels as a loop of draw_link_channel calls."""
+    bs = [Vec3(*c) for c in scenario.bs_positions.tolist()]
+    users = [Vec3(*c) for c in scenario.user_positions.tolist()]
+    n = scenario.num_cells
+    h = np.empty((n, n, num_antennas), np.complex128)
+    for j in range(n):
+        for l in range(n):
+            h[j, l] = draw_link_channel(bs[j], users[l],
+                                        bool(scenario.los[j, l]),
+                                        num_antennas, params, rng,
+                                        num_nlos_paths)
+    return ChannelSet(h=h)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +185,10 @@ def _reference_features(env, tx):
     n = env.num_cells
     out = np.empty(5 * n, np.float64)
     (x_lo, y_lo, z_lo), (x_span, y_span, z_span) = env._pos_lo, env._pos_span
-    for l, u in enumerate(env.realization.user_positions):
-        out[3 * l] = (u.x - x_lo) / x_span
-        out[3 * l + 1] = (u.y - y_lo) / y_span
-        out[3 * l + 2] = (u.z - z_lo) / z_span
+    for l, (x, y, z) in enumerate(env.realization.user_positions.tolist()):
+        out[3 * l] = (x - x_lo) / x_span
+        out[3 * l + 1] = (y - y_lo) / y_span
+        out[3 * l + 2] = (z - z_lo) / z_span
     out[3 * n:4 * n] = tx.power_idx / max(env.powers.num_levels - 1, 1)
     out[4 * n:] = tx.beam_idx / max(env.codebook.size - 1, 1)
     return np.clip(out, 0.0, 1.0)
@@ -309,3 +368,75 @@ def list_wolpertinger_train_step(agent, batch):
     list_soft_update(agent.actor_target, agent.actor, c.tau)
     list_soft_update(agent.critic_target, agent.critic, c.tau)
     return float(loss.mean()), float(q.mean())
+
+
+# ---------------------------------------------------------------------------
+# finite-difference gradient check
+
+
+GradCheckResult = namedtuple("GradCheckResult", "max_rel_error worst_index")
+
+
+def grad_check(net, loss, x, epsilon=1e-6) -> GradCheckResult:
+    """Compare backprop against central finite differences on every parameter.
+
+    loss maps the network output to (scalar value, dValue/dOutput). Returns
+    the worst relative disagreement and its index into net.parameters().
+    """
+    y = neural.forward(net, x)
+    _, upstream = loss(y)
+    analytic = neural.backward(net, x, upstream)
+    p = net.parameters()
+    worst = GradCheckResult(0.0, -1)
+    for i, g in enumerate(analytic.tolist()):
+        keep = p[i]
+        p[i] = keep + epsilon
+        up, _ = loss(neural.forward(net, x))
+        p[i] = keep - epsilon
+        dn, _ = loss(neural.forward(net, x))
+        p[i] = keep
+        numeric = (up - dn) / (2.0 * epsilon)
+        rel = abs(g - numeric) / max(abs(g), abs(numeric), 1e-8)
+        if rel > worst.max_rel_error:
+            worst = GradCheckResult(rel, i)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# tabular Q-learning: the reference policy a DQN is compared against on a
+# small frozen instance
+
+
+class QTable:
+    """Dense mapping from hashable state keys to per-action values.
+
+    Unseen states read as the initial value.
+    """
+
+    def __init__(self, num_actions, alpha=0.1, gamma=0.9, initial_value=0.0):
+        self.num_actions = num_actions
+        self.alpha = alpha
+        self.gamma = gamma
+        self.initial_value = initial_value
+        self.table = {}
+
+    def values(self, state_key) -> np.ndarray:
+        row = self.table.get(state_key)
+        if row is None:
+            return np.full(self.num_actions, self.initial_value)
+        return row
+
+    def act(self, state_key, epsilon, rng) -> int:
+        """Epsilon-greedy action; greedy ties go to the lowest index."""
+        if epsilon > 0.0 and rng.random() < epsilon:
+            return int(rng.integers(self.num_actions))
+        return int(np.argmax(self.values(state_key)))
+
+
+def q_update(table, state_key, action, reward, next_state_key, done):
+    """One Bellman backup: Q <- Q + alpha (r + gamma max_a' Q' - Q)."""
+    row = table.table.setdefault(state_key, table.values(state_key).copy())
+    bootstrap = 0.0 if done else float(np.max(table.values(next_state_key)))
+    target = reward + table.gamma * bootstrap
+    row[action] += table.alpha * (target - row[action])
+    return table

@@ -22,8 +22,10 @@ from skycell.baselines import (brute_force_search, mrt_tdma_sum_rate,
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.harness import (ExperimentConfig, ccdf, greedy_rollout,
                              run_experiment, stream_seed, write_outputs)
-from skycell.neural import Mlp, grad_check
-from skycell.radio import ChannelSet, PowerSet, array_response, dft_codebook
+from helpers import grad_check
+from skycell.channel import ChannelSet, array_response
+from skycell.neural import Mlp
+from skycell.radio import PowerSet, dft_codebook
 from skycell.scenario import ScenarioConfig
 
 NOISE = 10.0 ** -11.5

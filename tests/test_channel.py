@@ -1,14 +1,29 @@
 """Channel model: steering vectors, loss laws, small-scale statistics."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from helpers import reference_network_channels
 from skycell.channel import (ChannelSet, PathLossParams, array_response,
-                             draw_link_channel, link_distance_3d, path_loss_db,
+                             link_distances, path_loss_db,
                              realize_network_channels)
-from skycell.scenario import ScenarioConfig, Vec3, build_layout, place_users
+from skycell.scenario import (ScenarioConfig, ScenarioRealization,
+                              build_layout, place_users)
+
+
+def _one_link(bs, user, los):
+    return ScenarioRealization(config=ScenarioConfig(num_cells=1),
+                               bs_positions=np.array([bs], np.float64),
+                               user_positions=np.array([user], np.float64),
+                               los=np.array([[los]]))
+
+
+def _link_channel(real, num_antennas, rng, num_nlos_paths=3):
+    return realize_network_channels(real, num_antennas, PathLossParams(), rng,
+                                    num_nlos_paths).h[0, 0]
 
 
 def test_array_response_matches_phase_law():
@@ -23,6 +38,12 @@ def test_array_response_matches_phase_law():
         m = np.arange(8)
         np.testing.assert_allclose(a, np.exp(1j * math.pi * m * math.sin(theta)),
                                    rtol=1e-12)
+    # an array of angles maps to a trailing antenna axis, row by row
+    thetas = np.random.default_rng(0).uniform(-math.pi, math.pi, (3, 2))
+    a = array_response(thetas, 5)
+    assert a.shape == (3, 2, 5)
+    for i, j in itertools.product(range(3), range(2)):
+        np.testing.assert_array_equal(a[i, j], array_response(thetas[i, j], 5))
 
 
 def test_path_loss_reference_points():
@@ -41,10 +62,10 @@ def test_path_loss_clamps_below_one_meter():
 
 def test_los_link_is_a_scaled_steering_vector():
     params = PathLossParams()
-    bs = Vec3(0.0, 0.0, 25.0)
-    user = Vec3(60.0, 80.0, 75.0)
-    h = draw_link_channel(bs, user, True, 6, params, np.random.default_rng(0))
-    d = link_distance_3d(bs, user)
+    real = _one_link((0.0, 0.0, 25.0), (60.0, 80.0, 75.0), True)
+    h = _link_channel(real, 6, np.random.default_rng(0))
+    d = link_distances(real.bs_positions, real.user_positions)[0, 0]
+    assert d == math.sqrt(60.0 ** 2 + 80.0 ** 2 + 50.0 ** 2)
     g = 10.0 ** (-path_loss_db(d, True, params) / 10.0)
     azimuth = math.atan2(80.0, 60.0)
     np.testing.assert_allclose(h, math.sqrt(g) * array_response(azimuth, 6),
@@ -54,23 +75,43 @@ def test_los_link_is_a_scaled_steering_vector():
 
 def test_nlos_energy_concentrates_at_gain_times_antennas():
     params = PathLossParams()
-    bs = Vec3(0.0, 0.0, 25.0)
-    user = Vec3(150.0, 0.0, 90.0)
-    d = link_distance_3d(bs, user)
+    real = _one_link((0.0, 0.0, 25.0), (150.0, 0.0, 90.0), False)
+    d = link_distances(real.bs_positions, real.user_positions)[0, 0]
     g = 10.0 ** (-path_loss_db(d, False, params) / 10.0)
     m = 4
     rng = np.random.default_rng(7)
     energies = [np.vdot(h, h).real for h in
-                (draw_link_channel(bs, user, False, m, params, rng)
-                 for _ in range(4000))]
+                (_link_channel(real, m, rng) for _ in range(4000))]
     np.testing.assert_allclose(np.mean(energies), m * g, rtol=0.05)
 
 
 def test_single_scattered_path_keeps_flat_magnitude():
-    params = PathLossParams()
-    h = draw_link_channel(Vec3(0, 0, 25), Vec3(90, 10, 60), False, 5, params,
-                          np.random.default_rng(3), num_nlos_paths=1)
+    real = _one_link((0.0, 0.0, 25.0), (90.0, 10.0, 60.0), False)
+    h = _link_channel(real, 5, np.random.default_rng(3), num_nlos_paths=1)
     np.testing.assert_allclose(np.abs(h), np.abs(h[0]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 5, 7])
+def test_channels_match_the_per_link_oracle(num_cells):
+    # every byte of h and the generator state after the draw equal the
+    # per-link draw's, across LoS mixes, path counts and placements
+    cases = itertools.product((0.0, 0.8, 1.0), (1, 3),
+                              ("uniform", "cell_edge"), range(12))
+    for los_p, paths, placement, seed in cases:
+        config = ScenarioConfig(num_cells=num_cells, los_probability=los_p,
+                                user_placement=placement)
+        rng = np.random.default_rng(seed)
+        real = place_users(config, build_layout(config), rng)
+        num_antennas = 4 + 4 * (seed % 2)
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = rng.bit_generator.state
+        got = realize_network_channels(real, num_antennas, PathLossParams(),
+                                       rng, paths)
+        want = reference_network_channels(real, num_antennas,
+                                          PathLossParams(), ref_rng, paths)
+        np.testing.assert_array_equal(got.h, want.h)
+        assert got.h.tobytes() == want.h.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_network_channels_shape_and_determinism():

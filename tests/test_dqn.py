@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import QTable, q_update
 from skycell.agents.dqn import (DqnAgent, DqnConfig, dqn_act, dqn_train_step,
                                 train_dqn)
-from skycell.agents.q_table import QTable, q_update
 from skycell.baselines import brute_force_search
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.neural import Batch

@@ -7,10 +7,10 @@ from helpers import (reference_budgets, reference_reports, reference_step,
                      rx_matrix_from_channels)
 from skycell import kernels
 from skycell.channel import ChannelSet
+from skycell.agents.wolpertinger import _corner_table
 from skycell.environment import (REWARD_KINDS, EnvConfig, NetworkEnv,
                                  RewardSpec, action_from_index, compute_reward,
-                                 enumerate_actions, index_from_action,
-                                 num_actions)
+                                 index_from_action, num_actions)
 from skycell.radio import LinkBudget, MeasurementReport, TxConfig
 from skycell.scenario import ScenarioConfig
 
@@ -88,7 +88,7 @@ def test_action_index_roundtrip_and_enumeration():
         bits = action_from_index(idx, 2)
         assert bits.shape == (4,)
         assert index_from_action(bits) == idx
-    table = enumerate_actions(2)
+    table = _corner_table(4)
     assert table.shape == (16, 4)
     for idx in range(16):
         np.testing.assert_array_equal(table[idx], action_from_index(idx, 2))
@@ -96,8 +96,6 @@ def test_action_index_roundtrip_and_enumeration():
         action_from_index(16, 2)
     with pytest.raises(ValueError):
         index_from_action([0, 2])
-    with pytest.raises(ValueError):
-        enumerate_actions(12)
 
 
 def _env_at(power_idx, beam_idx):

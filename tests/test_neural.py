@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from helpers import grad_check
 from skycell import neural
 
 
@@ -74,7 +75,7 @@ def test_grad_check_linear_net_is_tight():
     rng = np.random.default_rng(2)
     net = neural.Mlp((4, 3), rng)
     x = rng.standard_normal(4)
-    result = neural.grad_check(net, _sq_loss(rng.standard_normal(3)), x)
+    result = grad_check(net, _sq_loss(rng.standard_normal(3)), x)
     assert result.max_rel_error <= 1e-7
 
 
@@ -82,7 +83,7 @@ def test_grad_check_three_layer_rectifier_net():
     rng = np.random.default_rng(3)
     net = neural.Mlp((5, 16, 16, 3), rng)
     x = rng.standard_normal(5)
-    result = neural.grad_check(net, _sq_loss(rng.standard_normal(3)), x,
+    result = grad_check(net, _sq_loss(rng.standard_normal(3)), x,
                                epsilon=1e-5)
     assert result.max_rel_error <= 1e-4
     # the report locates a real parameter coordinate
@@ -97,7 +98,7 @@ def test_grad_check_flags_a_corrupted_gradient():
         diff = y - 1.0
         return 0.5 * float(np.sum(diff * diff)), 2.0 * diff  # doubled slope
 
-    result = neural.grad_check(net, bad_loss, rng.standard_normal(3))
+    result = grad_check(net, bad_loss, rng.standard_normal(3))
     assert result.max_rel_error > 0.3
 
 
@@ -216,11 +217,18 @@ def test_replay_survives_concurrent_pushes():
 def test_weight_file_roundtrip_is_bitwise():
     rng = np.random.default_rng(6)
     arrays = [rng.standard_normal((3, 4)), rng.standard_normal(5),
-              np.array(2.5), rng.standard_normal((2, 2, 2))]
+              np.array([2.5]), rng.standard_normal((2, 2, 2))]
     loaded = neural.unpack_params(neural.pack_params(arrays))
     assert len(loaded) == 4
     for a, b in zip(arrays, loaded):
+        assert a.shape == b.shape
         np.testing.assert_array_equal(a, b)
+
+
+def test_weight_file_rejects_zero_dimensional_arrays():
+    # a 0-d array would come back with shape (1,), so it is refused
+    with pytest.raises(ValueError, match="at least one dimension"):
+        neural.pack_params([np.ones(3), np.array(2.5)])
 
 
 def test_weight_file_rejects_corruption():

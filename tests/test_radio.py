@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (drawn_channels, rx_matrix_from_channels, sinr_all,
-                     sum_rate)
+from helpers import (drawn_channels, rx_matrix_from_channels,
+                     scalar_array_response, sinr_all, sum_rate)
 from skycell import kernels
 from skycell.channel import ChannelSet
 from skycell.environment import EnvConfig, NetworkEnv
@@ -32,6 +32,16 @@ def test_oversampled_codebook_rows_are_unit_norm():
     cb = dft_codebook(4, 8)
     np.testing.assert_allclose(np.linalg.norm(cb.codewords, axis=1), 1.0,
                                rtol=1e-12)
+
+
+def test_codebook_rows_equal_the_per_row_steering_vectors():
+    # the one vectorised call gives the bytes of one math.sin row at a time
+    for m in range(1, 17):
+        for size in range(1, 33):
+            cb = dft_codebook(m, size)
+            rows = np.array([scalar_array_response(float(t), m)
+                             / math.sqrt(m) for t in cb.angles])
+            assert cb.codewords.tobytes() == rows.tobytes()
 
 
 def test_codewords_are_write_protected():

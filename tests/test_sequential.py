@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import Vec3, link_distance_3d
 from skycell.agents.sequential import (CellAgent, SequentialConfig,
                                        _leakage_cost, rank_cells,
                                        sequential_train)
 from skycell.baselines import random_policy
-from skycell.channel import link_distance_3d
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.scenario import ScenarioConfig
 
@@ -41,9 +41,10 @@ def test_rank_min_distance_puts_closest_interferer_first():
     order = rank_cells(env, "min_distance", probe_seed=11)
     env.reset(11)
     score = []
+    bs = [Vec3(*c) for c in env.realization.bs_positions.tolist()]
+    users = [Vec3(*c) for c in env.realization.user_positions.tolist()]
     for l in range(3):
-        user = env.realization.user_positions[l]
-        score.append(min(link_distance_3d(env.realization.bs_positions[j], user)
+        score.append(min(link_distance_3d(bs[j], users[l])
                          for j in range(3) if j != l))
     assert order == sorted(range(3), key=lambda l: (score[l], l))
 

@@ -1,9 +1,12 @@
-"""Tabular Q-learning: backup arithmetic and convergence toward Q*."""
+"""The tabular Q-learning oracle: backup arithmetic and convergence toward Q*.
+
+test_dqn compares a DQN's greedy policy with this oracle's, so the oracle
+itself is checked against value iteration here.
+"""
 
 import numpy as np
-import pytest
 
-from skycell.agents.q_table import QTable, discretize, q_update
+from helpers import QTable, q_update
 
 
 def test_backup_hand_case():
@@ -38,16 +41,6 @@ def test_exploration_visits_non_greedy_actions():
     rng = np.random.default_rng(1)
     seen = {table.act("s", 1.0, rng) for _ in range(200)}
     assert seen == {0, 1, 2, 3}
-
-
-def test_discretize_grid():
-    key = discretize(np.array([0.0, 0.124, 0.125, 0.999, 1.0]), bins=8)
-    assert key == (0, 0, 1, 7, 7)
-
-
-def test_validation():
-    with pytest.raises(ValueError):
-        QTable(num_actions=0)
 
 
 def _synthetic_mdp(rng, num_states=10, num_actions=4):
