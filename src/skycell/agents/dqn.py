@@ -48,8 +48,10 @@ class DqnAgent:
         self.buffer = neural.ReplayBuffer(self.config.buffer_capacity)
         self.train_calls = 0
         self.global_step = 0
+        self.value_evals = 0
 
     def q_values(self, features: np.ndarray) -> np.ndarray:
+        self.value_evals += self.num_actions
         return neural.forward(self.online, features)
 
     def epsilon(self, total_steps: int) -> float:
@@ -89,9 +91,7 @@ def train_dqn(env: NetworkEnv, agent: DqnAgent, episodes: int,
     def step(features):
         action = dqn_act(agent, features, agent.epsilon(total_steps), rng)
         outcome = env.step(action)
-        agent.global_step += 1
         return np.int64(index_from_action(action)), outcome, outcome.reward
 
-    return run_episodes(env, episodes, rng, frozen_seed, agent.buffer,
-                        agent.config, step,
+    return run_episodes(env, agent, episodes, rng, frozen_seed, step,
                         lambda batch: dqn_train_step(agent, batch))

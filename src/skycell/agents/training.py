@@ -45,18 +45,19 @@ def q_td_step(agent, batch: neural.Batch) -> float:
     return float(loss.mean())
 
 
-def run_episodes(env: NetworkEnv, episodes: int, rng: np.random.Generator,
-                 frozen_seed, buffer: neural.ReplayBuffer, config, step,
-                 learn) -> dict:
+def run_episodes(env: NetworkEnv, agent, episodes: int,
+                 rng: np.random.Generator, frozen_seed, step, learn) -> dict:
     """Run episodes of act, store, replay; returns per-episode totals.
 
     frozen_seed pins every episode to one network draw (the single-instance
     regime); otherwise each episode draws a fresh instance from rng.
     step(features) acts and advances env, returning (stored_action, outcome,
-    reward); the replay buffer stores reward times config.reward_scale.
-    Once the buffer holds max(train_start, batch_size) transitions, every
-    step ends with learn(batch) on a fresh minibatch, which returns a loss.
+    reward); agent.global_step then counts the step, and agent.buffer stores
+    reward times agent.config.reward_scale. Once the buffer holds
+    max(train_start, batch_size) transitions, every step ends with
+    learn(batch) on a fresh minibatch, which returns a loss.
     """
+    buffer, config = agent.buffer, agent.config
     history = {"episode_reward": [], "episode_best_rate": [], "loss": []}
     for _ in range(episodes):
         seed = frozen_seed if frozen_seed is not None else int(rng.integers(2 ** 63))
@@ -67,6 +68,7 @@ def run_episodes(env: NetworkEnv, episodes: int, rng: np.random.Generator,
         done = False
         while not done:
             action, outcome, reward = step(features)
+            agent.global_step += 1
             buffer.push(features, action, reward * config.reward_scale,
                         outcome.features, outcome.done)
             features = outcome.features

@@ -270,9 +270,7 @@ def train_wolpertinger(env: NetworkEnv, agent: WolpertingerAgent,
         action = wolpertinger_act(agent, features,
                                   sigma=agent.sigma(total_steps), rng=rng)
         outcome = env.step(action)
-        agent.global_step += 1
         return action.astype(np.float64), outcome, outcome.reward
 
-    return run_episodes(env, episodes, rng, frozen_seed, agent.buffer,
-                        agent.config, step,
+    return run_episodes(env, agent, episodes, rng, frozen_seed, step,
                         lambda batch: wolpertinger_train_step(agent, batch)[0])

@@ -142,6 +142,8 @@ class EnvConfig:
             raise ValueError("horizon must be at least 1")
         if self.num_antennas < 1 or self.codebook_size < 1:
             raise ValueError("antenna and codebook sizes must be positive")
+        if self.num_nlos_paths < 1:
+            raise ValueError("num_nlos_paths must be at least 1")
 
 
 class NetworkEnv:
@@ -186,6 +188,11 @@ class NetworkEnv:
     @property
     def num_cells(self) -> int:
         return self.config.scenario.num_cells
+
+    @property
+    def num_features(self) -> int:
+        """Width of the features() vector: 5 per cell."""
+        return 5 * self.num_cells
 
     def reset(self, episode_seed: int) -> np.ndarray:
         """Draw a fresh instance from the seed and return initial features."""

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -33,6 +34,10 @@ _SIMPLE_METHODS = ("brute_force", "mrt", "random")
 _AGENT_CONFIGS = {"dqn": DqnConfig, "wolpertinger": WolpertingerConfig,
                   "sequential": SequentialConfig}
 _LEARNER_BASES = tuple(_AGENT_CONFIGS)
+# count-valued config keys; a float here would be rounded or crash mid-run
+_INTEGER_KEYS = ("num_seeds", "seed_offset", "train_episodes", "eval_episodes",
+                 "horizon", "num_antennas", "codebook_size", "num_nlos_paths",
+                 "ccdf_points")
 _REWARD_SUFFIXES = {
     "global": "global_sinr",
     "serving": "serving_snr",
@@ -99,7 +104,16 @@ class ExperimentConfig:
     agent: dict = field(default_factory=dict)
 
     def validate(self) -> "ExperimentConfig":
-        if not self.cell_counts or any(int(c) < 1 for c in self.cell_counts):
+        counts = [(f"cell_counts[{i}]", c)
+                  for i, c in enumerate(self.cell_counts)]
+        counts += [(key, getattr(self, key)) for key in _INTEGER_KEYS]
+        for key, value in counts:
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(
+                    f"{key} must be an integer, got {value!r}") from None
+        if not self.cell_counts or any(c < 1 for c in self.cell_counts):
             raise ValueError("cell_counts must be nonempty positive integers")
         if not self.methods:
             raise ValueError("methods must be nonempty")
@@ -287,13 +301,13 @@ def _train_learner(config, env, base, num_cells, seed_index, rng):
     frozen = _frozen_seed(config, num_cells, seed_index)
     overrides = dict(config.agent.get(base, {}))
     if base == "dqn":
-        agent = DqnAgent(5 * num_cells, num_cells,
+        agent = DqnAgent(env.num_features, num_cells,
                          DqnConfig(**overrides),
                          seed=int(rng.integers(2 ** 63)))
         train_dqn(env, agent, config.train_episodes, rng, frozen_seed=frozen)
         return lambda f: dqn_act(agent, f, 0.0)
     if base == "wolpertinger":
-        agent = WolpertingerAgent(5 * num_cells, num_cells,
+        agent = WolpertingerAgent(env.num_features, num_cells,
                                   WolpertingerConfig(**overrides),
                                   seed=int(rng.integers(2 ** 63)))
         train_wolpertinger(env, agent, config.train_episodes, rng,

@@ -177,6 +177,9 @@ def test_features_are_normalized_and_sized():
     out = env.step(np.ones(6, np.int64))
     np.testing.assert_array_equal(out.features[:9], features[:9])
     assert not np.array_equal(out.features[9:], features[9:])
+    for n in (1, 2, 3, 5):
+        sized = _env(num_cells=n)
+        assert len(sized.reset(5)) == sized.num_features == 5 * n
 
 
 def test_episode_runs_to_horizon_then_refuses():

@@ -100,9 +100,31 @@ def test_config_validation_errors():
         dict(user_placement="nowhere"),
         dict(los_probability=1.5),
         dict(num_antennas=0),
+        # every NLoS link needs at least one scattered path
+        dict(num_nlos_paths=0, los_probability=0.0),
     ]
     for overrides in bad:
         with pytest.raises(ValueError):
+            _tiny_config(**overrides)
+    # counts must be integers, not merely integral-looking numbers; the
+    # error names the offending key
+    not_integers = [
+        ("codebook_size", dict(codebook_size=2.5)),
+        (r"cell_counts\[0\]", dict(cell_counts=(2.5,))),
+        (r"cell_counts\[1\]", dict(cell_counts=(2, 3.0))),
+        (r"cell_counts\[0\]", dict(cell_counts=("2",))),
+        ("horizon", dict(horizon=2.5)),
+        ("train_episodes",
+         dict(train_episodes=2.5, methods=("random", "dqn"))),
+        ("ccdf_points", dict(ccdf_points=21.0)),
+        ("num_seeds", dict(num_seeds=2.0)),
+        ("seed_offset", dict(seed_offset=0.5)),
+        ("eval_episodes", dict(eval_episodes=3.0)),
+        ("num_antennas", dict(num_antennas=4.0)),
+        ("num_nlos_paths", dict(num_nlos_paths=3.0)),
+    ]
+    for key, overrides in not_integers:
+        with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             _tiny_config(**overrides)
 
 

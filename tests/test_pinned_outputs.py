@@ -1,5 +1,5 @@
-"""Pinned bytes of a whole `skycell run`: geometry, channels, baselines,
-a learner and the output writers, end to end.
+"""Pinned bytes of whole `skycell run`s: geometry, channels, baselines,
+every learner and the output writers, end to end.
 
 A change that is meant to keep every output byte-identical must keep these
 digests. A change that alters outputs on purpose updates them and says why.
@@ -68,9 +68,65 @@ PINNED = {
 }
 
 
-def run_digests(tmp_path) -> dict:
+# every trained learner on tiny nets; k=4 lets Wolpertinger run at L=1, and a
+# small target_sync makes the target nets resync within the run
+LEARNER_CONFIG = {
+    "master_seed": 5,
+    "cell_counts": [1, 2, 3],
+    "methods": ["dqn", "dqn_measured", "wolpertinger", "sequential_rsrq"],
+    "num_seeds": 2,
+    "train_episodes": 6,
+    "eval_episodes": 2,
+    "horizon": 8,
+    "num_antennas": 4,
+    "codebook_size": 4,
+    "power_levels_dbm": [27.0, 28.0, 29.0, 30.0],
+    "ccdf_points": 21,
+    "agent": {
+        "dqn": {"hidden": [8], "batch_size": 4, "train_start": 4,
+                "target_sync": 5},
+        "wolpertinger": {"hidden": [8], "batch_size": 4, "train_start": 4,
+                         "k": 4},
+        "sequential": {"hidden": [8], "batch_size": 4, "train_start": 4,
+                       "target_sync": 5},
+    },
+}
+
+LEARNER_PINNED = {
+    "ccdf_dqn_L1.csv":
+        "6ce0d743630fc1c2aaa0d59ceec2d4e0e0ae5b616cbabdc28d56ffb8e0cef9af",
+    "ccdf_dqn_L2.csv":
+        "fa2cc9bc2a236efc5e631d33fa7dcf4bda0a3f29cfabde43948d9d888cf3d93e",
+    "ccdf_dqn_L3.csv":
+        "b57b6a67e9d9c2c7c8a721e77f156301396a64f7ad0fb95c734879dccef5244f",
+    "ccdf_dqn_measured_L1.csv":
+        "57ccbe2081e07ac22000012362604c3471ea0b50147a397ad8e1dfab82585330",
+    "ccdf_dqn_measured_L2.csv":
+        "95b7fe362ad49932a93749632c72f4f4af0c301846c20ec1d46356fff58b4789",
+    "ccdf_dqn_measured_L3.csv":
+        "6b9644a60b7a0ebba7d20593932af6dec549e09fb0a4d358f30f7b8b5f66a872",
+    "ccdf_sequential_rsrq_L1.csv":
+        "d57f553ea62bfee34c2d9e4f0a6050472ab094ac01de8f5b88a27828381ea4c4",
+    "ccdf_sequential_rsrq_L2.csv":
+        "5b68dbe1b5f36a8d9dfa4812b30e5fe26f9e9e3201b0f0c99852a6503b2677e3",
+    "ccdf_sequential_rsrq_L3.csv":
+        "e697a779d916f9f28a4ae6bb3fb631744011747f77680fdf99b25f1dcafb83a2",
+    "ccdf_wolpertinger_L1.csv":
+        "28b566ee5e14caae61a582ec979dc818da8511aeca3ea874e4c4ae8ec839f4dc",
+    "ccdf_wolpertinger_L2.csv":
+        "5aa6284d37a4f41b763828ed230b4e51572068b87ce2c8ca5fe752ed64d01e13",
+    "ccdf_wolpertinger_L3.csv":
+        "7398bc52619672b17a428d754df858ff1288e4c231d527893b5780350dfa2d8a",
+    "skipped.csv":
+        "d713b08b7eef340de79d6cecb1a3c5dc2cf1322364600b627c39ba478efc8d73",
+    "summary.csv":
+        "fb387363e9701cb9378104e6e011dc58bb71d731bd91dfe9f3e782dc49672294",
+}
+
+
+def run_digests(tmp_path, config=CONFIG) -> dict:
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps(CONFIG))
+    cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(cfg), "--out", str(out)]) == 0
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
@@ -79,3 +135,7 @@ def run_digests(tmp_path) -> dict:
 
 def test_fixed_run_writes_the_pinned_bytes(tmp_path):
     assert run_digests(tmp_path) == PINNED
+
+
+def test_fixed_learner_run_writes_the_pinned_bytes(tmp_path):
+    assert run_digests(tmp_path, LEARNER_CONFIG) == LEARNER_PINNED

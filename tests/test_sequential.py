@@ -1,5 +1,7 @@
 """Per-cell agents trained one at a time in interference order."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -21,6 +23,25 @@ def _env(num_cells, horizon=25):
         horizon=horizon,
         reward=RewardSpec(gamma_min_db=-30.0),
     ))
+
+
+def test_config_fields_and_defaults():
+    assert dataclasses.asdict(SequentialConfig()) == {
+        "episodes_per_agent": 30,
+        "hidden": (64, 64),
+        "lr": 2e-3,
+        "gamma": 0.85,
+        "batch_size": 32,
+        "buffer_capacity": 10000,
+        "target_sync": 200,
+        "train_start": 100,
+        "eps_start": 1.0,
+        "eps_end": 0.05,
+        "eps_fraction": 0.8,
+        "order_metric": "rsrq",
+        "interference_weight": 1.0,
+        "reward_scale": 0.05,
+    }
 
 
 def test_rank_single_cell():
