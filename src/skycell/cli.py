@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .harness import ExperimentConfig, ensure_writable, run_experiment, write_outputs
 
@@ -31,12 +30,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with open(args.config) as f:
-            config = ExperimentConfig.from_dict(json.load(f))
+            data = json.load(f)
+        # overrides replace the file's values before the one validation
         if args.methods is not None:
-            names = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-            config = replace(config, methods=names).validate()
+            data["methods"] = [m.strip() for m in args.methods.split(",")
+                               if m.strip()]
         if args.seed_offset is not None:
-            config = replace(config, seed_offset=args.seed_offset).validate()
+            data["seed_offset"] = args.seed_offset
+        config = ExperimentConfig.from_dict(data)
         out_dir = args.out if args.out is not None else config.output_dir
         ensure_writable(out_dir)
         table = run_experiment(config)

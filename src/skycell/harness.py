@@ -1,4 +1,4 @@
-"""Experiment orchestration: method runners, metrics, CSV and JSON outputs.
+"""Experiment orchestration: config, episode scoring, metrics and outputs.
 
 A run is a grid over cell counts, methods and seed indices. Every grid cell
 owns an independent RNG stream derived by hashing
@@ -103,12 +103,21 @@ class ExperimentConfig:
     output_dir: str = "results"
     agent: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # JSON arrays arrive as lists; the config holds tuples throughout
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                setattr(self, f.name, tuple(value))
+
     def validate(self) -> "ExperimentConfig":
         counts = [(f"cell_counts[{i}]", c)
                   for i, c in enumerate(self.cell_counts)]
         counts += [(key, getattr(self, key)) for key in _INTEGER_KEYS]
         for key, value in counts:
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise ValueError(
@@ -148,19 +157,10 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        merged = {}
-        for f in fields(cls):
-            if f.name in data:
-                value = data[f.name]
-                if isinstance(value, list):
-                    value = tuple(value)
-                merged[f.name] = value
-        cfg = cls(**merged)
-        return cfg.validate()
+        return cls(**data).validate()
 
     def to_dict(self) -> dict:
         out = {}
@@ -170,33 +170,19 @@ class ExperimentConfig:
         return out
 
     def env_config(self, num_cells: int, reward_kind: str = None) -> EnvConfig:
-        scenario = ScenarioConfig(
-            num_cells=num_cells,
-            cell_radius_m=self.cell_radius_m,
-            bs_height_m=self.bs_height_m,
-            user_altitude_range_m=tuple(self.user_altitude_range_m),
-            user_placement=self.user_placement,
-            los_probability=self.los_probability,
-        )
-        return EnvConfig(
-            scenario=scenario,
-            num_antennas=self.num_antennas,
-            codebook_size=self.codebook_size,
-            power_levels_dbm=tuple(self.power_levels_dbm),
-            bandwidth_hz=self.bandwidth_hz,
-            noise_figure_db=self.noise_figure_db,
-            path_loss=PathLossParams(
-                los_intercept_db=self.los_intercept_db,
-                los_exponent=self.los_exponent,
-                nlos_intercept_db=self.nlos_intercept_db,
-                nlos_exponent=self.nlos_exponent,
-            ),
-            num_nlos_paths=self.num_nlos_paths,
-            reward=RewardSpec(kind=reward_kind or "global_sinr",
-                              gamma_min_db=self.gamma_min_db,
-                              penalty=self.penalty),
-            horizon=self.horizon,
-        )
+        return self._fill(
+            EnvConfig,
+            scenario=self._fill(ScenarioConfig, num_cells=num_cells),
+            path_loss=self._fill(PathLossParams),
+            reward=self._fill(RewardSpec, kind=reward_kind or "global_sinr"))
+
+    def _fill(self, cls, **given):
+        """Build cls from given plus every field of ours that shares a name
+        with one of its fields."""
+        ours = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(cls)
+                  if f.name in ours and f.name not in given}
+        return cls(**shared, **given)
 
 
 @dataclass
@@ -219,6 +205,11 @@ def ccdf(samples, grid) -> np.ndarray:
     return (samples[:, None] >= grid[None, :]).mean(axis=0)
 
 
+def _db(x):
+    # floored at 1e-300 (-3000 dB), so a zero-gain link stays finite
+    return 10.0 * np.log10(np.maximum(x, 1e-300))
+
+
 def greedy_rollout(env: NetworkEnv, act_fn, episode_seed: int) -> dict:
     """Roll one episode under act_fn and keep the best-visited operating point.
 
@@ -235,8 +226,7 @@ def greedy_rollout(env: NetworkEnv, act_fn, episode_seed: int) -> dict:
         outcome = env.step(act_fn(features))
         if outcome.info["sum_rate"] > best_rate:
             best_rate = outcome.info["sum_rate"]
-            best_sinr_db = 10.0 * np.log10(np.maximum(outcome.info["sinr"],
-                                                      1e-300))
+            best_sinr_db = _db(outcome.info["sinr"])
         total_reward += outcome.reward
         features = outcome.features
         done = outcome.done
@@ -260,40 +250,21 @@ def _eval_seeds(config: ExperimentConfig, num_cells: int, seed_index: int):
             for i in range(config.eval_episodes)]
 
 
-def _run_brute(config, table, env, method, num_cells, seed_index):
-    rates = []
-    for es in _eval_seeds(config, num_cells, seed_index):
-        env.reset(es)
-        result = brute_force_search(env.channels, env.codebook, env.powers,
-                                    env.noise_watts, cap=config.brute_force_cap)
-        sinr = env.link_state(tx=result.tx).sinr
-        table.add_samples(method, num_cells, 10.0 * np.log10(sinr))
-        rates.append(result.sum_rate)
-    return rates, None
-
-
-def _run_mrt(config, table, env, method, num_cells, seed_index):
-    rates = []
-    for es in _eval_seeds(config, num_cells, seed_index):
-        env.reset(es)
-        rates.append(mrt_tdma_sum_rate(env.channels, env.codebook, env.powers,
-                                       env.noise_watts,
-                                       gamma_min_db=config.gamma_min_db,
-                                       continuous=config.mrt_continuous))
-        snr = mrt_snrs(env.channels, env.codebook, env.powers, env.noise_watts,
-                       continuous=config.mrt_continuous)
-        table.add_samples(method, num_cells, 10.0 * np.log10(snr))
-    return rates, None
-
-
-def _run_policy(config, table, env, method, num_cells, seed_index, act_fn):
-    rates, rewards = [], []
-    for es in _eval_seeds(config, num_cells, seed_index):
-        record = greedy_rollout(env, act_fn, es)
-        rates.append(record["best_rate"])
-        rewards.append(record["episode_reward"])
-        table.add_samples(method, num_cells, record["sinr_db"])
-    return rates, rewards
+def _score_episode(config, env, base, act_fn, episode_seed):
+    """Evaluate one episode: (sum rate, episode reward or None, per-cell SINR
+    in dB). The oracle and MRT are scored on the drawn instance and earn no
+    reward; a policy is scored at the best-visited step of a greedy rollout."""
+    if base in ("brute_force", "mrt"):
+        env.reset(episode_seed)
+        net = (env.channels, env.codebook, env.powers, env.noise_watts)
+        if base == "brute_force":
+            found = brute_force_search(*net, cap=config.brute_force_cap)
+            return found.sum_rate, None, _db(env.link_state(tx=found.tx).sinr)
+        rate = mrt_tdma_sum_rate(*net, gamma_min_db=config.gamma_min_db,
+                                 continuous=config.mrt_continuous)
+        return rate, None, _db(mrt_snrs(*net, continuous=config.mrt_continuous))
+    record = greedy_rollout(env, act_fn, episode_seed)
+    return record["best_rate"], record["episode_reward"], record["sinr_db"]
 
 
 def _train_learner(config, env, base, num_cells, seed_index, rng):
@@ -335,32 +306,29 @@ def run_experiment(config: ExperimentConfig) -> MetricsTable:
                 rng = np.random.default_rng(
                     stream_seed(config.master_seed, method, num_cells,
                                 seed_index))
+                act_fn = None
+                if base == "random":
+                    act_fn = lambda f: random_policy(rng, num_cells)
+                elif base in _LEARNER_BASES:
+                    act_fn = _train_learner(config, env, base, num_cells,
+                                            seed_index, rng)
                 try:
-                    if base == "brute_force":
-                        rates, rewards = _run_brute(config, table, env, method,
-                                                    num_cells, seed_index)
-                    elif base == "mrt":
-                        rates, rewards = _run_mrt(config, table, env, method,
-                                                  num_cells, seed_index)
-                    else:
-                        if base == "random":
-                            act_fn = lambda f: random_policy(rng, num_cells)
-                        else:
-                            act_fn = _train_learner(config, env, base,
-                                                    num_cells, seed_index, rng)
-                        rates, rewards = _run_policy(config, table, env,
-                                                     method, num_cells,
-                                                     seed_index, act_fn)
+                    scores = [_score_episode(config, env, base, act_fn, es)
+                              for es in _eval_seeds(config, num_cells,
+                                                    seed_index)]
                 except BruteForceCapExceeded as exc:
                     table.skipped.append({"method": method, "L": num_cells,
                                           "seed": seed_index,
                                           "reason": str(exc)})
                     continue
+                rates, rewards, sinrs_db = zip(*scores)
+                for sinr_db in sinrs_db:
+                    table.add_samples(method, num_cells, sinr_db)
                 table.rows.append({
                     "method": method, "L": num_cells, "seed": seed_index,
                     "mean_sum_rate": float(np.mean(rates)),
                     "std_sum_rate": float(np.std(rates)),
-                    "mean_reward": (math.nan if rewards is None
+                    "mean_reward": (math.nan if rewards[0] is None
                                     else float(np.mean(rewards))),
                 })
     return table
@@ -378,44 +346,38 @@ def ensure_writable(out_dir: str) -> None:
             os.remove(probe)
 
 
+def _write_csv(path: str, header: list, rows) -> str:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 def write_outputs(table: MetricsTable, out_dir: str,
                   config: ExperimentConfig) -> list:
     """Write summary, CCDF, skipped and config-echo files; returns the paths."""
     ensure_writable(out_dir)
-    written = []
-
-    path = os.path.join(out_dir, "summary.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["method", "L", "seed", "mean_sum_rate", "std_sum_rate",
-                    "mean_reward"])
-        for row in table.rows:
-            w.writerow([row["method"], row["L"], row["seed"],
-                        repr(float(row["mean_sum_rate"])),
-                        repr(float(row["std_sum_rate"])),
-                        repr(float(row["mean_reward"]))])
-    written.append(path)
+    stats = ("mean_sum_rate", "std_sum_rate", "mean_reward")
+    written = [_write_csv(
+        os.path.join(out_dir, "summary.csv"), ["method", "L", "seed", *stats],
+        ([row["method"], row["L"], row["seed"],
+          *(repr(float(row[k])) for k in stats)] for row in table.rows))]
 
     for (method, num_cells), samples in sorted(table.ccdf_samples.items()):
         arr = np.asarray(samples, np.float64)
         grid = np.linspace(math.floor(arr.min()) - 1.0,
                            math.ceil(arr.max()) + 1.0, config.ccdf_points)
-        probs = ccdf(arr, grid)
-        path = os.path.join(out_dir, f"ccdf_{method}_L{num_cells}.csv")
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f, lineterminator="\n")
-            w.writerow(["sinr_db", "ccdf"])
-            for g, p in zip(grid, probs):
-                w.writerow([repr(float(g)), repr(float(p))])
-        written.append(path)
+        written.append(_write_csv(
+            os.path.join(out_dir, f"ccdf_{method}_L{num_cells}.csv"),
+            ["sinr_db", "ccdf"],
+            ([repr(float(g)), repr(float(p))]
+             for g, p in zip(grid, ccdf(arr, grid)))))
 
-    path = os.path.join(out_dir, "skipped.csv")
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(["method", "L", "seed", "reason"])
-        for row in table.skipped:
-            w.writerow([row["method"], row["L"], row["seed"], row["reason"]])
-    written.append(path)
+    written.append(_write_csv(
+        os.path.join(out_dir, "skipped.csv"), ["method", "L", "seed", "reason"],
+        ([row["method"], row["L"], row["seed"], row["reason"]]
+         for row in table.skipped)))
 
     # the resolved configuration, itself valid as a run input
     path = os.path.join(out_dir, "config_echo")

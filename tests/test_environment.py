@@ -318,8 +318,8 @@ def test_rx_matrix_from_gain_table_matches_raw_channels():
 
 
 def test_link_state_reads_the_given_tx():
-    # harness._run_brute reads the brute-force winner this way, at a tx the
-    # env is not in
+    # the harness scores the brute-force winner this way, at a tx the env is
+    # not in
     env = _env(num_cells=3)
     env.reset(5)
     rng = np.random.default_rng(5)

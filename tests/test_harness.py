@@ -6,16 +6,19 @@ import json
 import math
 import os
 import time
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from skycell import harness
 from skycell.cli import main as cli_main
-from skycell.environment import NetworkEnv
+from skycell.channel import PathLossParams
+from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.harness import (ExperimentConfig, _eval_seeds, ccdf,
                              ensure_writable, greedy_rollout, parse_method,
                              run_experiment, stream_seed, write_outputs)
+from skycell.scenario import ScenarioConfig
 
 
 def _tiny_config(**overrides) -> ExperimentConfig:
@@ -122,6 +125,9 @@ def test_config_validation_errors():
         ("eval_episodes", dict(eval_episodes=3.0)),
         ("num_antennas", dict(num_antennas=4.0)),
         ("num_nlos_paths", dict(num_nlos_paths=3.0)),
+        # operator.index(True) is 1, but a JSON true is no count
+        (r"cell_counts\[0\]", dict(cell_counts=(True,))),
+        ("horizon", dict(horizon=True)),
     ]
     for key, overrides in not_integers:
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
@@ -177,6 +183,35 @@ def test_config_dict_roundtrip():
     assert isinstance(back.methods, tuple)
     assert isinstance(back.power_levels_dbm, tuple)
     assert back.to_dict() == cfg.to_dict()
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, 5])
+@pytest.mark.parametrize("kind", ["global_sinr", "rsrq"])
+def test_env_config_defaults_are_the_env_defaults(num_cells, kind):
+    assert ExperimentConfig().env_config(num_cells, kind) == EnvConfig(
+        scenario=ScenarioConfig(num_cells=num_cells), reward=RewardSpec(kind))
+
+
+# a valid non-default value for every setting env_config passes on by name
+_ENV_FACING = {
+    "gamma_min_db": -6.0, "penalty": -2.0, "horizon": 7,
+    "num_antennas": 8, "codebook_size": 4, "power_levels_dbm": (20.0, 23.0),
+    "bandwidth_hz": 2e7, "noise_figure_db": 7.0, "cell_radius_m": 150.0,
+    "bs_height_m": 30.0, "user_altitude_range_m": (60.0, 100.0),
+    "user_placement": "cell_edge", "los_probability": 0.5,
+    "los_intercept_db": 60.0, "los_exponent": 2.1, "nlos_intercept_db": 70.0,
+    "nlos_exponent": 3.0, "num_nlos_paths": 2,
+}
+
+
+def test_every_env_facing_setting_reaches_env_config():
+    env_side = {f.name for cls in (EnvConfig, ScenarioConfig, PathLossParams,
+                                   RewardSpec) for f in fields(cls)}
+    shared = env_side & {f.name for f in fields(ExperimentConfig)}
+    assert shared == set(_ENV_FACING)
+    default = ExperimentConfig().env_config(2)
+    for key, value in _ENV_FACING.items():
+        assert ExperimentConfig(**{key: value}).env_config(2) != default, key
 
 
 def test_ccdf_reference_points():
@@ -366,6 +401,26 @@ def test_brute_cap_skips_and_continues(tmp_path):
     assert len(lines) == 1 + cfg.num_seeds
 
 
+def test_zero_gain_grid_writes_finite_files(tmp_path):
+    # 4000 dB of path loss underflows every channel to exactly zero; each
+    # method's SINR samples then sit at the -3000 dB floor, not at -inf
+    cfg = _tiny_config(los_intercept_db=4000.0, nlos_intercept_db=4000.0)
+    table = run_experiment(cfg)
+    written = write_outputs(table, str(tmp_path / "zero"), cfg)
+    assert set(table.ccdf_samples) == {(m, n) for m in cfg.methods
+                                       for n in cfg.cell_counts}
+    for samples in table.ccdf_samples.values():
+        assert np.all(np.isfinite(samples))
+    ccdf_files = [p for p in written
+                  if os.path.basename(p).startswith("ccdf_")]
+    assert len(ccdf_files) == len(table.ccdf_samples)
+    for path in ccdf_files:
+        rows = list(csv.reader(open(path)))
+        assert rows[0] == ["sinr_db", "ccdf"]
+        assert len(rows) == 1 + cfg.ccdf_points
+        assert all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
 def test_ensure_writable(tmp_path):
     target = tmp_path / "fresh" / "nested"
     ensure_writable(str(target))
@@ -441,6 +496,16 @@ def test_cli_method_and_seed_overrides(tmp_path):
     rows = list(csv.DictReader(open(out / "summary.csv")))
     assert [r["method"] for r in rows] == ["random", "random"]
     assert [int(r["seed"]) for r in rows] == [7, 8]
+
+    # the overrides apply before validation, so they may replace a value
+    # the file alone would be refused for
+    data = json.loads(open(cfg_path).read())
+    data["methods"] = ["nope"]
+    bad_path = tmp_path / "nope.json"
+    bad_path.write_text(json.dumps(data))
+    rc = cli_main(["run", "--config", str(bad_path), "--out",
+                   str(tmp_path / "overridden"), "--methods", "random"])
+    assert rc == 0
 
 
 def test_cli_error_is_json_line(tmp_path, capsys):
