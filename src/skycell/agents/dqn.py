@@ -14,7 +14,8 @@ import numpy as np
 from .. import neural
 from ..environment import (NetworkEnv, action_from_index, index_from_action,
                            num_actions)
-from .training import linear_schedule, q_td_step, run_episodes
+from .training import (check_replay_settings, linear_schedule, q_td_step,
+                       run_episodes)
 
 
 @dataclass
@@ -32,6 +33,11 @@ class DqnConfig:
     # rewards are sums of linear SINRs and can be large; the learner sees a
     # scaled copy so value targets stay near the Huber quadratic region
     reward_scale: float = 0.02
+
+    def __post_init__(self):
+        check_replay_settings(self)
+        if self.target_sync < 1:
+            raise ValueError("target_sync must be positive")
 
 
 class DqnAgent:

@@ -38,6 +38,7 @@ class SequentialConfig(DqnConfig):
     interference_weight: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.order_metric not in ORDER_METRICS:
             raise ValueError(f"unknown order metric {self.order_metric!r}")
 

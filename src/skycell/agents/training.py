@@ -13,6 +13,18 @@ from .. import neural
 from ..environment import NetworkEnv
 
 
+def check_replay_settings(config) -> None:
+    """Refuse replay settings under which a learner cannot train."""
+    if any(width < 1 for width in config.hidden):
+        raise ValueError("hidden layer widths must be positive")
+    if config.batch_size < 1:
+        raise ValueError("batch_size must be positive")
+    # training starts once the buffer holds max(train_start, batch_size)
+    if config.buffer_capacity < max(config.train_start, config.batch_size):
+        raise ValueError("buffer_capacity must hold train_start and "
+                         "batch_size transitions")
+
+
 def linear_schedule(start: float, end: float, fraction: float, step: int,
                     total_steps: int) -> float:
     """Anneal linearly from start to end over fraction of total_steps, then hold."""

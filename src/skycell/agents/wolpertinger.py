@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import neural
-from ..environment import NetworkEnv, index_from_action
-from .training import linear_schedule, run_episodes
+from ..environment import NetworkEnv, index_bits, index_from_action
+from .training import check_replay_settings, linear_schedule, run_episodes
 
 
 # Widest proto-action scored densely over all 2^d corners: for a batch of 32
@@ -62,8 +62,7 @@ def knn_actions_batch(protos: np.ndarray, k: int) -> np.ndarray:
 def _corner_table(d: int) -> np.ndarray:
     """All 2^d corners in binary index order; row i is
     action_from_index(i, d // 2)."""
-    shifts = np.arange(d - 1, -1, -1)
-    table = (np.arange(1 << d)[:, None] >> shifts[None, :]) & 1
+    table = index_bits(np.arange(1 << d), d)
     table.flags.writeable = False
     return table
 
@@ -105,7 +104,7 @@ def _knn_heap(proto: np.ndarray, k: int) -> np.ndarray:
             heapq.heappush(heap, (cost + costs[j], chosen + (j,), index ^ bits[j]))
     found.sort()
     nearest = np.array([index for _, index in found[:k]], np.int64)
-    return (nearest[:, None] >> np.arange(d - 1, -1, -1)) & 1
+    return index_bits(nearest, d)
 
 
 @dataclass
@@ -123,6 +122,13 @@ class WolpertingerConfig:
     sigma_end: float = 0.01
     sigma_fraction: float = 0.8
     reward_scale: float = 0.02
+
+    def __post_init__(self):
+        check_replay_settings(self)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
 class WolpertingerAgent:
@@ -149,8 +155,7 @@ class WolpertingerAgent:
 
     def propose(self, features: np.ndarray) -> np.ndarray:
         """Continuous proto-action in [0, 1]^(2L) from the actor."""
-        z = neural.forward(self.actor, features)
-        return 1.0 / (1.0 + np.exp(-z))
+        return _sigmoid(neural.forward(self.actor, features))
 
     def critic_values(self, features: np.ndarray,
                       actions: np.ndarray) -> np.ndarray:
@@ -194,37 +199,31 @@ def _soft_update(target: neural.Mlp, online: neural.Mlp, tau: float) -> None:
     t += tau * online.parameters()
 
 
-def actor_gradients(agent: WolpertingerAgent, states: np.ndarray,
-                    dq_da: np.ndarray = None) -> tuple:
+def actor_gradients(agent: WolpertingerAgent, states: np.ndarray) -> tuple:
     """Gradients of the negated actor objective, without touching the weights.
 
-    The objective is the critic's mean value at the actor's sigmoid proposal;
-    dq_da overrides the critic-derived gradient so tests can drive the actor
-    against a known landscape. Returns (grads, mean objective), grads being
-    what a minimizer should follow.
+    The objective is the critic's mean value at the actor's sigmoid proposal.
+    Returns (grads, mean objective), grads being what a minimizer should
+    follow.
     """
     states = np.atleast_2d(states)
     n = states.shape[0]
     z, cache = neural.forward_cached(agent.actor, states)
-    proto = 1.0 / (1.0 + np.exp(-z))
-    if dq_da is None:
-        x = np.concatenate([states, proto], axis=1)
-        q, critic_cache = neural.forward_cached(agent.critic, x)
-        up = np.ones_like(q) / n
-        dq_dx = neural.input_gradient(agent.critic, critic_cache, up)
-        dq_da = dq_dx[:, states.shape[1]:]
-        objective = float(q.mean())
-    else:
-        dq_da = np.asarray(dq_da, np.float64) / n
-        objective = 0.0
+    proto = _sigmoid(z)
+    x = np.concatenate([states, proto], axis=1)
+    q, critic_cache = neural.forward_cached(agent.critic, x)
+    up = np.ones_like(q) / n
+    dq_dx = neural.input_gradient(agent.critic, critic_cache, up)
+    dq_da = dq_dx[:, states.shape[1]:]
     upstream = -dq_da * proto * (1.0 - proto)  # descend the negated objective
-    return neural.backward_from_cache(agent.actor, cache, upstream), objective
+    return (neural.backward_from_cache(agent.actor, cache, upstream),
+            float(q.mean()))
 
 
-def actor_objective_update(agent: WolpertingerAgent, states: np.ndarray,
-                           dq_da: np.ndarray = None) -> float:
+def actor_objective_update(agent: WolpertingerAgent,
+                           states: np.ndarray) -> float:
     """One ascent step on the actor objective; returns its mean estimate."""
-    grads, objective = actor_gradients(agent, states, dq_da)
+    grads, objective = actor_gradients(agent, states)
     neural.adam_step(agent.actor_opt, agent.actor.parameters(), grads)
     return objective
 
@@ -236,8 +235,8 @@ def wolpertinger_train_step(agent: WolpertingerAgent,
     n = batch.states.shape[0]
 
     # bootstrap action: target actor proposes, target critic refines over k
-    proto_next = neural.forward(agent.actor_target, batch.next_states)
-    proto_next = 1.0 / (1.0 + np.exp(-proto_next))
+    proto_next = _sigmoid(neural.forward(agent.actor_target,
+                                         batch.next_states))
     cands = knn_actions_batch(proto_next, c.k).reshape(n * c.k, -1)
     x_next = np.concatenate([np.repeat(batch.next_states, c.k, axis=0),
                              cands.astype(np.float64)], axis=1)

@@ -46,8 +46,8 @@ def brute_force_search(channels: ChannelSet, codebook: Codebook,
     gains = kernels.beam_gains(channels.h, codebook.codewords)
     rate, code, evaluated = kernels.brute_force(gains, powers.watts(),
                                                 noise_watts)
-    p_idx, b_idx = kernels.decode_config(code, n, powers.num_levels,
-                                         codebook.size)
+    shape = (powers.num_levels,) * n + (codebook.size,) * n
+    p_idx, b_idx = np.reshape(np.unravel_index(code, shape), (2, n))
     return BruteForceResult(tx=TxConfig(power_idx=p_idx, beam_idx=b_idx),
                             sum_rate=float(rate), num_evaluated=int(evaluated))
 

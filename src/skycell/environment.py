@@ -96,14 +96,16 @@ def num_actions(num_cells: int) -> int:
     return 1 << (2 * num_cells)
 
 
+def index_bits(index, width: int) -> np.ndarray:
+    """The width binary digits of each index, most significant first."""
+    return (np.asarray(index)[..., None] >> np.arange(width - 1, -1, -1)) & 1
+
+
 def action_from_index(index: int, num_cells: int) -> np.ndarray:
     width = 2 * num_cells
     if not 0 <= index < (1 << width):
         raise ValueError(f"action index {index} out of range for {num_cells} cells")
-    bits = np.empty(width, np.int64)
-    for i in range(width):
-        bits[width - 1 - i] = (index >> i) & 1
-    return bits
+    return index_bits(index, width)
 
 
 def index_from_action(action) -> int:
@@ -144,6 +146,8 @@ class EnvConfig:
             raise ValueError("antenna and codebook sizes must be positive")
         if self.num_nlos_paths < 1:
             raise ValueError("num_nlos_paths must be at least 1")
+        if self.bandwidth_hz <= 0:
+            raise ValueError("bandwidth_hz must be positive")
 
 
 class NetworkEnv:

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, field, fields
@@ -122,6 +123,16 @@ class ExperimentConfig:
             except TypeError:
                 raise ValueError(
                     f"{key} must be an integer, got {value!r}") from None
+        # a JSON "false" is truthy and a JSON string is no level or exponent
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, "
+                                 f"got {value!r}")
+            if f.type == "float" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a real number, "
+                                 f"got {value!r}")
         if not self.cell_counts or any(c < 1 for c in self.cell_counts):
             raise ValueError("cell_counts must be nonempty positive integers")
         if not self.methods:
@@ -141,7 +152,7 @@ class ExperimentConfig:
                 raise ValueError(f"unknown agent override section {key!r}")
             try:
                 _AGENT_CONFIGS[key](**overrides)
-            except TypeError as exc:
+            except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad agent override for {key!r}: {exc}") from exc
         k = WolpertingerConfig(**self.agent.get("wolpertinger", {})).k
         for m in self.methods:

@@ -1,7 +1,10 @@
 """Hot numeric kernels, vectorized with numpy.
 
-Interference is accumulated over transmitters in ascending index, so every
-caller sees the same rounding.
+Received power has one formula (rx_matrix) and one split into signal and
+interference (_split). A step reads them through rx_powers and the exhaustive
+search reads them directly, so the oracle rates a configuration exactly as a
+step would. Interference is accumulated over transmitters in ascending index,
+so every caller sees the same rounding.
 """
 
 import numpy as np
@@ -26,12 +29,20 @@ def beam_gains(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# received powers for one transmit configuration
+# received powers for one transmit configuration, or a batch of them
 
 
 def rx_matrix(gains, p_watts, beams):
-    """R[j, l] = p_watts[j] * gains[j, l, beams[j]]: power at user l from j."""
-    return p_watts[:, None] * gains[np.arange(gains.shape[0]), :, beams]
+    """R[..., j, l] = p_watts[..., j] * gains[j, l, beams[j]]: power at user l
+    from j, for each configuration along p_watts' leading axes."""
+    return p_watts[..., None] * gains[np.arange(gains.shape[0]), :, beams]
+
+
+def _split(r):
+    """(signal, interference) off received-power matrices R[..., j, l]."""
+    signal = r.diagonal(0, -2, -1).copy()
+    # numpy reduces a non-last axis row by row, so the total adds ascending j
+    return signal, r.sum(axis=-2) - signal
 
 
 def rx_powers(gains, p_watts, beams):
@@ -41,68 +52,44 @@ def rx_powers(gains, p_watts, beams):
     transmit power in watts, beams the per-cell codeword index. Returns
     (signal, interference), each shape (L,).
     """
-    r = rx_matrix(gains, p_watts, beams)
-    signal = r.diagonal().copy()
-    # numpy reduces axis 0 row by row, so the total adds ascending j
-    return signal, r.sum(axis=0) - signal
+    return _split(rx_matrix(gains, p_watts, beams))
 
 
 # ---------------------------------------------------------------------------
 # exhaustive search over joint (power, beam) configurations
 #
-# Configurations are enumerated in ascending lexicographic order of the index
-# tuple (p_0, ..., p_{L-1}, b_0, ..., b_{L-1}); the first strict maximum wins,
-# so ties resolve to the lexicographically smallest tuple.
+# A configuration is the index tuple (p_0, ..., p_{L-1}, b_0, ..., b_{L-1});
+# its code is that tuple's position in C (lexicographic) order, so power
+# digits are the more significant ones. Ties resolve to the smallest code.
 
 
-def decode_config(code, n_cells, n_power, n_beams):
-    """Split a mixed-radix configuration code back into index vectors."""
-    beams = np.empty(n_cells, np.int64)
-    powers = np.empty(n_cells, np.int64)
-    rem = code
-    for i in range(n_cells - 1, -1, -1):
-        beams[i] = rem % n_beams
-        rem //= n_beams
-    for i in range(n_cells - 1, -1, -1):
-        powers[i] = rem % n_power
-        rem //= n_power
-    return powers, beams
+def _index_grid(radix, width):
+    """Every radix^width index tuple, one per row, in C order."""
+    return np.indices((radix,) * width).reshape(width, -1).T
 
 
-def brute_force(gains, p_watts, noise_w, chunk=1 << 15):
-    """Best joint configuration by exhaustive enumeration, vectorized.
+def brute_force(gains, p_watts, noise_w):
+    """Best joint configuration by exhaustive enumeration.
 
-    Returns (best_sum_rate, best_code, num_evaluated) where best_code encodes
-    the winning index tuple in the mixed radix (P, ..., P, W, ..., W).
+    Scans one beam vector at a time, rating every power vector against it at
+    once through the same received-power formula a step uses, so memory is
+    P^L * L^2 floats. Returns (best_sum_rate, best_code, num_evaluated), where
+    best_code is the winning tuple's index in C order over the shape
+    (P,) * L + (W,) * L.
     """
     n_cells = gains.shape[0]
     n_beams = gains.shape[2]
-    n_power = p_watts.shape[0]
-    total = (n_power * n_beams) ** n_cells
-
-    # radix weight of each digit position, most significant first
-    weights = np.empty(2 * n_cells, np.int64)
-    acc = 1
-    for i in range(2 * n_cells - 1, -1, -1):
-        weights[i] = acc
-        acc *= n_beams if i >= n_cells else n_power
-
+    powers = p_watts[_index_grid(p_watts.shape[0], n_cells)]
+    n_beam_vectors = n_beams ** n_cells
     best_rate = -1.0
     best_code = -1
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (codes[:, None] // weights[None, :])
-        pd = digits[:, :n_cells] % n_power
-        bd = digits[:, n_cells:] % n_beams
-        sig = np.empty((codes.size, n_cells), np.float64)
-        tot = np.zeros((codes.size, n_cells), np.float64)
-        for j in range(n_cells):
-            contrib = p_watts[pd[:, j], None] * gains[j][:, bd[:, j]].T
-            tot += contrib
-            sig[:, j] = contrib[:, j]
-        rates = np.log2(1.0 + sig / (tot - sig + noise_w)).sum(axis=1)
+    for c, beams in enumerate(_index_grid(n_beams, n_cells)):
+        signal, interference = _split(rx_matrix(gains, powers, beams))
+        rates = np.log2(1.0 + signal / (interference + noise_w)).sum(axis=1)
         k = int(np.argmax(rates))
-        if rates[k] > best_rate:
+        code = k * n_beam_vectors + c
+        # a later beam vector can hold a smaller code, since power digits lead
+        if rates[k] > best_rate or (rates[k] == best_rate and code < best_code):
             best_rate = float(rates[k])
-            best_code = int(codes[k])
-    return best_rate, best_code, total
+            best_code = code
+    return best_rate, best_code, powers.shape[0] * n_beam_vectors

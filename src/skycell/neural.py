@@ -221,9 +221,9 @@ class ReplayBuffer:
                 raise ValueError(f"cannot draw {batch_size} distinct transitions "
                                  f"from {self._size} stored")
             idx = rng.choice(self._size, size=batch_size, replace=False)
-            return Batch(self._states[idx].copy(), self._actions[idx].copy(),
-                         self._rewards[idx].copy(), self._next_states[idx].copy(),
-                         self._dones[idx].copy())
+            # fancy indexing copies, so the batch shares no memory with us
+            return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
+                         self._next_states[idx], self._dones[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,66 @@ def reference_rx_powers(gains, p_watts, beams):
     return signal, total - signal
 
 
+def reference_action_bits(index, width):
+    """The width binary digits of one index, most significant first, by a
+    loop over bit positions."""
+    bits = np.empty(width, np.int64)
+    for i in range(width):
+        bits[width - 1 - i] = (index >> i) & 1
+    return bits
+
+
+def reference_decode_config(code, n_cells, n_power, n_beams):
+    """Split a mixed-radix configuration code back into index vectors."""
+    beams = np.empty(n_cells, np.int64)
+    powers = np.empty(n_cells, np.int64)
+    rem = code
+    for i in range(n_cells - 1, -1, -1):
+        beams[i] = rem % n_beams
+        rem //= n_beams
+    for i in range(n_cells - 1, -1, -1):
+        powers[i] = rem % n_power
+        rem //= n_power
+    return powers, beams
+
+
+def reference_brute_force(gains, p_watts, noise_w, chunk=1 << 15):
+    """kernels.brute_force as a scan over chunks of ascending codes, each
+    decoded digit by digit, with interference summed by its own loop over
+    ascending transmitters."""
+    n_cells = gains.shape[0]
+    n_beams = gains.shape[2]
+    n_power = p_watts.shape[0]
+    total = (n_power * n_beams) ** n_cells
+
+    # radix weight of each digit position, most significant first
+    weights = np.empty(2 * n_cells, np.int64)
+    acc = 1
+    for i in range(2 * n_cells - 1, -1, -1):
+        weights[i] = acc
+        acc *= n_beams if i >= n_cells else n_power
+
+    best_rate = -1.0
+    best_code = -1
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (codes[:, None] // weights[None, :])
+        pd = digits[:, :n_cells] % n_power
+        bd = digits[:, n_cells:] % n_beams
+        sig = np.empty((codes.size, n_cells), np.float64)
+        tot = np.zeros((codes.size, n_cells), np.float64)
+        for j in range(n_cells):
+            contrib = p_watts[pd[:, j], None] * gains[j][:, bd[:, j]].T
+            tot += contrib
+            sig[:, j] = contrib[:, j]
+        rates = np.log2(1.0 + sig / (tot - sig + noise_w)).sum(axis=1)
+        k = int(np.argmax(rates))
+        if rates[k] > best_rate:
+            best_rate = float(rates[k])
+            best_code = int(codes[k])
+    return best_rate, best_code, total
+
+
 # ---------------------------------------------------------------------------
 # per-cell reference step: one LinkBudget/MeasurementReport per cell, the
 # environment's step before link state became one array record
@@ -224,6 +284,17 @@ def reference_step(env, moves):
         info["measured_sinr"] = np.array([m.measured_sinr for m in reports])
         info["rsrq"] = np.array([m.rsrq for m in reports])
     return float(reward), info, _reference_features(env, tx)
+
+
+def actor_step_along(agent, states, dq_da):
+    """One Adam step of a Wolpertinger actor up a given value gradient dq_da
+    at its sigmoid proposal, in place of the critic's gradient."""
+    states = np.atleast_2d(states)
+    z, cache = neural.forward_cached(agent.actor, states)
+    proto = 1.0 / (1.0 + np.exp(-z))
+    upstream = -(dq_da / states.shape[0]) * proto * (1.0 - proto)
+    grads = neural.backward_from_cache(agent.actor, cache, upstream)
+    neural.adam_step(agent.actor_opt, agent.actor.parameters(), grads)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from helpers import (reference_budgets, reference_reports, reference_step,
-                     rx_matrix_from_channels)
+from helpers import (reference_action_bits, reference_budgets,
+                     reference_reports, reference_step, rx_matrix_from_channels)
 from skycell import kernels
 from skycell.channel import ChannelSet
 from skycell.agents.wolpertinger import _corner_table
 from skycell.environment import (REWARD_KINDS, EnvConfig, NetworkEnv,
                                  RewardSpec, action_from_index, compute_reward,
-                                 index_from_action, num_actions)
+                                 index_bits, index_from_action, num_actions)
 from skycell.radio import LinkBudget, MeasurementReport, TxConfig
 from skycell.scenario import ScenarioConfig
 
@@ -81,6 +81,19 @@ def test_action_space_size_is_two_bits_per_cell():
     assert num_actions(1) == 4
     assert num_actions(2) == 16
     assert num_actions(18) == 2 ** 36
+
+
+def test_index_bits_match_the_bit_loop():
+    for width in range(1, 13):
+        indices = np.arange(1 << width)
+        want = np.array([reference_action_bits(i, width) for i in indices])
+        np.testing.assert_array_equal(index_bits(indices, width), want)
+        np.testing.assert_array_equal(index_bits(indices[-1], width), want[-1])
+    rng = np.random.default_rng(0)
+    wide = np.concatenate([[0, 1, (1 << 62) - 1],
+                           rng.integers(0, 1 << 62, 200)])
+    want = np.array([reference_action_bits(int(i), 62) for i in wide])
+    np.testing.assert_array_equal(index_bits(wide, 62), want)
 
 
 def test_action_index_roundtrip_and_enumeration():

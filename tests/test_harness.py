@@ -132,20 +132,53 @@ def test_config_validation_errors():
     for key, overrides in not_integers:
         with pytest.raises(ValueError, match=f"^{key} must be an integer"):
             _tiny_config(**overrides)
+    # a JSON string or null in a flag or a real-valued key is refused by
+    # name, not run as a truthy flag or left to crash mid-grid
+    wrongly_typed = [
+        ("freeze_channels must be true or false", dict(freeze_channels="false")),
+        ("mrt_continuous must be true or false", dict(mrt_continuous="no")),
+        ("mrt_continuous must be true or false", dict(mrt_continuous=0)),
+        ("gamma_min_db must be a real number", dict(gamma_min_db="3")),
+        ("noise_figure_db must be a real number", dict(noise_figure_db="9")),
+        ("los_exponent must be a real number", dict(los_exponent=None)),
+        ("penalty must be a real number", dict(penalty="x")),
+        ("bandwidth_hz must be a real number", dict(bandwidth_hz=True)),
+        ("bandwidth_hz must be positive", dict(bandwidth_hz=-1)),
+        ("bandwidth_hz must be positive", dict(bandwidth_hz=0.0)),
+    ]
+    for message, overrides in wrongly_typed:
+        with pytest.raises(ValueError, match=message):
+            _tiny_config(**overrides)
+
+
+_BAD_AGENT_OVERRIDES = [
+    {"bogus": 1},
+    {"batch_size": 0},
+    {"buffer_capacity": 0},
+    {"hidden": [0]},
+    {"hidden": [8, 0]},
+    # a buffer that cannot fill to the training threshold never trains
+    {"batch_size": 16, "buffer_capacity": 8},
+    {"train_start": 50, "buffer_capacity": 40},
+]
 
 
 @pytest.mark.parametrize("base", ["dqn", "wolpertinger", "sequential"])
 def test_bad_agent_override_fails_before_any_work(base, monkeypatch):
-    data = {"methods": ["brute_force", base], "agent": {base: {"bogus": 1}}}
-    with pytest.raises(ValueError, match="bad agent override"):
-        ExperimentConfig.from_dict(data)
+    bad = list(_BAD_AGENT_OVERRIDES)
+    if base != "wolpertinger":
+        bad.append({"target_sync": 0})
 
     def no_search(*args, **kwargs):
         raise AssertionError("grid work started before validation")
 
     monkeypatch.setattr(harness, "brute_force_search", no_search)
-    with pytest.raises(ValueError, match="bad agent override"):
-        run_experiment(ExperimentConfig(**data))
+    for overrides in bad:
+        data = {"methods": ["brute_force", base], "agent": {base: overrides}}
+        with pytest.raises(ValueError, match="bad agent override"):
+            ExperimentConfig.from_dict(data)
+        with pytest.raises(ValueError, match="bad agent override"):
+            run_experiment(ExperimentConfig(**data))
 
 
 @pytest.mark.parametrize("method", ["wolpertinger", "wolpertinger_rsrq"])

@@ -3,8 +3,10 @@
 import itertools
 
 import numpy as np
+import pytest
 
-from helpers import drawn_channels, reference_rx_powers
+from helpers import (drawn_channels, reference_brute_force,
+                     reference_decode_config, reference_rx_powers)
 from skycell import kernels
 from skycell.radio import PowerSet, dft_codebook
 
@@ -50,13 +52,18 @@ def test_rx_powers_match_manual_sums():
 
 
 def test_decode_config_inverts_lexicographic_enumeration():
+    # a code is its index tuple's position in C order over (P,)*L + (W,)*L
     n_cells, n_power, n_beams = 2, 3, 4
-    tuples = [p + b
-              for p in itertools.product(range(n_power), repeat=n_cells)
-              for b in itertools.product(range(n_beams), repeat=n_cells)]
+    shape = (n_power,) * n_cells + (n_beams,) * n_cells
+    tuples = list(itertools.product(*(range(r) for r in shape)))
     for code, want in enumerate(tuples):
-        powers, beams = kernels.decode_config(code, n_cells, n_power, n_beams)
+        assert tuple(int(d) for d in np.unravel_index(code, shape)) == want
+        powers, beams = reference_decode_config(code, n_cells, n_power,
+                                                n_beams)
         assert tuple(powers) + tuple(beams) == want
+    for radix, width in ((3, 2), (4, 1), (2, 3)):
+        want = list(itertools.product(range(radix), repeat=width))
+        assert [tuple(row) for row in kernels._index_grid(radix, width)] == want
 
 
 def test_brute_force_matches_python_enumeration():
@@ -66,9 +73,10 @@ def test_brute_force_matches_python_enumeration():
     n = channels.num_cells
     best_rate = -1.0
     best_code = -1
-    for code in range((p_watts.size * codebook.size) ** n):
-        powers, beams = kernels.decode_config(code, n, p_watts.size,
-                                              codebook.size)
+    configs = itertools.product(range(p_watts.size), repeat=n)
+    configs = itertools.product(configs, itertools.product(
+        range(codebook.size), repeat=n))
+    for code, (powers, beams) in enumerate(configs):
         rate = 0.0
         for l in range(n):
             contrib = [p_watts[powers[j]] * gains[j, l, beams[j]]
@@ -84,13 +92,37 @@ def test_brute_force_matches_python_enumeration():
     np.testing.assert_allclose(got_rate, best_rate, rtol=1e-9)
 
 
-def test_brute_force_chunk_boundaries_do_not_change_the_winner():
-    _, _, gains, p_watts = _instance(4, num_cells=2, codebook_size=4)
+@pytest.mark.parametrize("num_cells", [1, 2, 3])
+def test_brute_force_equals_the_code_order_scan(num_cells):
+    # the same (rate, code, count) as a scan over codes in ascending order,
+    # also on rounded tables full of ties and on all-zero tables
     noise = 3e-12
-    reference = kernels.brute_force(gains, p_watts, noise)
-    for chunk in (1, 7, 64, 10 ** 6):
-        assert kernels.brute_force(gains, p_watts, noise,
-                                   chunk=chunk) == reference
+    for seed, (n_power, n_beams) in enumerate([(3, 5), (4, 8), (2, 3)]):
+        _, _, gains, p_watts = _instance(10 * num_cells + seed, num_cells,
+                                         codebook_size=n_beams,
+                                         num_levels=n_power)
+        rounded = np.round(gains / gains.max(), 1) * gains.max()
+        for table in (gains, rounded, np.zeros_like(gains)):
+            assert (kernels.brute_force(table, p_watts, noise)
+                    == reference_brute_force(table, p_watts, noise))
+
+
+def test_brute_force_tie_across_beam_vectors_keeps_the_smaller_code():
+    # codeword 1 has exactly twice codeword 0's gains and the top power level
+    # is twice the bottom one, so (p=1, b=0) and (p=0, b=1) are the same
+    # received powers. This draw's optimum puts cell 0 at that level: its
+    # smaller code, (p=0, b=1), sits in a later beam vector than (p=1, b=0).
+    rng = np.random.default_rng(620)
+    g0 = 10.0 ** rng.uniform(-3, 1, (3, 3))
+    gains = np.stack([g0, 2.0 * g0], axis=-1)
+    p_watts = np.array([1.0, 2.0])
+    rate, code, evaluated = kernels.brute_force(gains, p_watts, 0.1)
+    assert (rate, code, evaluated) == reference_brute_force(gains, p_watts, 0.1)
+    assert np.unravel_index(code, (2,) * 6) == (0, 1, 1, 1, 1, 1)
+    # its twin (p=(1, 1, 1), b=(0, 1, 1)) rates exactly the same
+    signal, interference = kernels.rx_powers(gains, p_watts[[1, 1, 1]],
+                                             np.array([0, 1, 1]))
+    assert np.log2(1.0 + signal / (interference + 0.1)).sum() == rate
 
 
 def test_brute_force_tie_resolves_to_smallest_code():

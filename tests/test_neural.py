@@ -174,6 +174,12 @@ def test_replay_keeps_exactly_the_last_capacity_items():
     assert len(buf) == 8
     batch = buf.sample(8, np.random.default_rng(0))
     assert sorted(batch.states[:, 0].tolist()) == [float(i) for i in range(5, 13)]
+    # the batch arrays are copies, so a learner writing into them cannot
+    # corrupt stored transitions
+    stored = (buf._states, buf._actions, buf._rewards, buf._next_states,
+              buf._dones)
+    for values, store in zip(batch, stored):
+        assert not np.shares_memory(values, store)
 
 
 def test_replay_minibatch_has_no_duplicates():

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from helpers import actor_step_along
 from skycell.agents.dqn import DqnAgent, DqnConfig, dqn_act, train_dqn
 from skycell.agents.wolpertinger import (DENSE_MAX_WIDTH, WolpertingerAgent,
                                          WolpertingerConfig, _knn_dense,
@@ -193,7 +194,7 @@ def test_actor_converges_against_synthetic_value_landscape():
     a_star = np.array([0.8, 0.3])
     for _ in range(2000):
         proto = agent.propose(state[0])
-        actor_objective_update(agent, state, dq_da=-2.0 * (proto - a_star)[None, :])
+        actor_step_along(agent, state, -2.0 * (proto - a_star)[None, :])
     final = agent.propose(state[0])
     assert np.abs(final - a_star).max() < 0.05
 
