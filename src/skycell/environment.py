@@ -259,7 +259,7 @@ class NetworkEnv:
                              f"got {action.size}")
         n = self.num_cells
         bits = [int(b) for b in action.tolist()]
-        return self.step_cells({l: (bits[l], bits[n + l]) for l in range(n)})
+        return self.step_cells(dict(enumerate(zip(bits[:n], bits[n:]))))
 
     def step_cells(self, moves: dict) -> StepOutcome:
         """Advance one step moving only the given cells; others hold.
@@ -273,18 +273,21 @@ class NetworkEnv:
         if self.step_count >= self.config.horizon:
             raise RuntimeError("episode is finished; reset to continue")
         n = self.num_cells
-        dp, db = [0] * n, [0] * n  # each cell's step: +1 up, -1 down, 0 hold
+        top = self.powers.num_levels - 1
+        size = self.codebook.size
+        power_idx = self.tx.power_idx.tolist()
+        beam_idx = self.tx.beam_idx.tolist()
         for cell, (p_bit, b_bit) in moves.items():
             if not 0 <= cell < n:
                 raise ValueError(f"cell index {cell} out of range")
             if p_bit not in (0, 1) or b_bit not in (0, 1):
                 raise ValueError("action bits must be 0 or 1")
-            dp[cell] = 1 if p_bit else -1
-            db[cell] = 1 if b_bit else -1
-        self.tx = TxConfig(
-            np.minimum(np.maximum(self.tx.power_idx + dp, 0),
-                       self.powers.num_levels - 1),
-            (self.tx.beam_idx + db) % self.codebook.size)
+            power_idx[cell] = min(max(power_idx[cell] + (1 if p_bit else -1),
+                                      0), top)
+            beam_idx[cell] = (beam_idx[cell] + (1 if b_bit else -1)) % size
+        # fresh arrays: a TxConfig or info array handed out earlier stays put
+        self.tx = TxConfig(np.array(power_idx, np.int64),
+                           np.array(beam_idx, np.int64))
         spec = self.config.reward
         state = self.link_state(spec.needs_measurements())
         reward, violated = _threshold_reward(

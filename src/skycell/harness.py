@@ -29,6 +29,7 @@ from .baselines import (BruteForceCapExceeded, brute_force_search, mrt_snrs,
                         mrt_tdma_sum_rate, random_policy)
 from .channel import PathLossParams
 from .environment import EnvConfig, NetworkEnv, RewardSpec
+from .radio import PowerSet
 from .scenario import ScenarioConfig
 
 _SIMPLE_METHODS = ("brute_force", "mrt", "random")
@@ -36,9 +37,9 @@ _AGENT_CONFIGS = {"dqn": DqnConfig, "wolpertinger": WolpertingerConfig,
                   "sequential": SequentialConfig}
 _LEARNER_BASES = tuple(_AGENT_CONFIGS)
 # count-valued config keys; a float here would be rounded or crash mid-run
-_INTEGER_KEYS = ("num_seeds", "seed_offset", "train_episodes", "eval_episodes",
-                 "horizon", "num_antennas", "codebook_size", "num_nlos_paths",
-                 "ccdf_points")
+_INTEGER_KEYS = ("master_seed", "num_seeds", "seed_offset", "train_episodes",
+                 "eval_episodes", "horizon", "num_antennas", "codebook_size",
+                 "num_nlos_paths", "ccdf_points")
 _REWARD_SUFFIXES = {
     "global": "global_sinr",
     "serving": "serving_snr",
@@ -137,6 +138,23 @@ class ExperimentConfig:
             raise ValueError("cell_counts must be nonempty positive integers")
         if not self.methods:
             raise ValueError("methods must be nonempty")
+        # a grid cell is keyed by (L, method, seed): a repeat would run twice
+        # and pool its CCDF samples twice
+        for key in ("cell_counts", "methods"):
+            values = getattr(self, key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{key} lists {value!r} twice")
+        levels = self.power_levels_dbm
+        if not isinstance(levels, tuple) or any(
+                isinstance(v, bool) or not isinstance(v, numbers.Real)
+                for v in levels):
+            raise ValueError(f"power_levels_dbm must be a list of numbers, "
+                             f"got {levels!r}")
+        try:
+            PowerSet(np.asarray(levels, np.float64))
+        except ValueError as exc:
+            raise ValueError(f"power_levels_dbm: {exc}") from None
         if self.num_seeds < 1 or self.seed_offset < 0:
             raise ValueError("need num_seeds >= 1 and seed_offset >= 0")
         if self.train_episodes < 1 or self.eval_episodes < 1:
@@ -145,7 +163,13 @@ class ExperimentConfig:
             raise ValueError("horizon must be positive")
         if self.ccdf_points < 2:
             raise ValueError("ccdf_points must be at least 2")
-        if self.brute_force_cap < 1:
+        cap = self.brute_force_cap
+        # an integral float such as 1e7 is a count; 2.5 is not
+        if (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
+                or not float(cap).is_integer()):
+            raise ValueError(f"brute_force_cap must be a whole number, "
+                             f"got {cap!r}")
+        if cap < 1:
             raise ValueError("brute_force_cap must be positive")
         for key, overrides in self.agent.items():
             if key not in _AGENT_CONFIGS:

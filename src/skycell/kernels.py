@@ -5,6 +5,10 @@ interference (_split). A step reads them through rx_powers and the exhaustive
 search reads them directly, so the oracle rates a configuration exactly as a
 step would. Interference is accumulated over transmitters in ascending index,
 so every caller sees the same rounding.
+
+A batch of configurations runs along the trailing axes, after the (j, l)
+cell axes: numpy pays a fixed cost per inner-loop row, and with the batch
+last each row is a whole batch long rather than L long.
 """
 
 import numpy as np
@@ -33,16 +37,19 @@ def beam_gains(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
 
 
 def rx_matrix(gains, p_watts, beams):
-    """R[..., j, l] = p_watts[..., j] * gains[j, l, beams[j]]: power at user l
-    from j, for each configuration along p_watts' leading axes."""
-    return p_watts[..., None] * gains[np.arange(gains.shape[0]), :, beams]
+    """R[j, l, ...] = p_watts[j, ...] * gains[j, l, beams[j]]: power at user l
+    from j, for each configuration along p_watts' axes after the cell axis."""
+    g = gains[np.arange(gains.shape[0]), :, beams]
+    return p_watts[:, None] * g.reshape(g.shape + (1,) * (p_watts.ndim - 1))
 
 
 def _split(r):
-    """(signal, interference) off received-power matrices R[..., j, l]."""
-    signal = r.diagonal(0, -2, -1).copy()
-    # numpy reduces a non-last axis row by row, so the total adds ascending j
-    return signal, r.sum(axis=-2) - signal
+    """(signal, interference) off received powers R[j, l, ...], each shaped
+    r.shape[1:]. signal is a view into r."""
+    n = r.shape[0]
+    signal = r.reshape((n * n,) + r.shape[2:])[::n + 1]
+    # numpy reduces axis 0 row by row, so the total adds ascending j
+    return signal, r.sum(axis=0) - signal
 
 
 def rx_powers(gains, p_watts, beams):
@@ -73,23 +80,23 @@ def brute_force(gains, p_watts, noise_w):
 
     Scans one beam vector at a time, rating every power vector against it at
     once through the same received-power formula a step uses, so memory is
-    P^L * L^2 floats. Returns (best_sum_rate, best_code, num_evaluated), where
-    best_code is the winning tuple's index in C order over the shape
-    (P,) * L + (W,) * L.
+    P^L * L^2 floats, laid out (L, L, P^L). Returns (best_sum_rate,
+    best_code, num_evaluated), where best_code is the winning tuple's index
+    in C order over the shape (P,) * L + (W,) * L.
     """
     n_cells = gains.shape[0]
     n_beams = gains.shape[2]
-    powers = p_watts[_index_grid(p_watts.shape[0], n_cells)]
+    powers = p_watts[_index_grid(p_watts.shape[0], n_cells).T]
     n_beam_vectors = n_beams ** n_cells
     best_rate = -1.0
     best_code = -1
     for c, beams in enumerate(_index_grid(n_beams, n_cells)):
         signal, interference = _split(rx_matrix(gains, powers, beams))
-        rates = np.log2(1.0 + signal / (interference + noise_w)).sum(axis=1)
+        rates = np.log2(1.0 + signal / (interference + noise_w)).sum(axis=0)
         k = int(np.argmax(rates))
         code = k * n_beam_vectors + c
         # a later beam vector can hold a smaller code, since power digits lead
         if rates[k] > best_rate or (rates[k] == best_rate and code < best_code):
             best_rate = float(rates[k])
             best_code = code
-    return best_rate, best_code, powers.shape[0] * n_beam_vectors
+    return best_rate, best_code, powers.shape[1] * n_beam_vectors

@@ -142,22 +142,35 @@ class AdamState:
         self.t = 0
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        # working vectors for adam_step, so an update allocates nothing
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
 
 def adam_step(state: AdamState, params: np.ndarray,
               grads: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update, applied to params in place."""
+    """One bias-corrected Adam update, applied to params in place. It runs
+    in the state's scratch vectors, with the plain formula's operations in
+    the same order, so it rounds as that formula does."""
     if np.shape(params) != state.m.shape or np.shape(grads) != state.m.shape:
         raise ValueError("parameter vector does not match optimizer state")
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t
     c2 = 1.0 - state.beta2 ** state.t
     m, v = state.m, state.v
+    a, b = state.scratch
     m *= state.beta1
-    m += (1.0 - state.beta1) * grads
+    m += np.multiply(grads, 1.0 - state.beta1, out=a)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (grads * grads)
-    params -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+    np.multiply(grads, grads, out=a)
+    a *= 1.0 - state.beta2
+    v += a
+    np.divide(m, c1, out=a)
+    a *= state.lr
+    np.divide(v, c2, out=b)
+    np.sqrt(b, out=b)
+    b += state.eps
+    a /= b
+    params -= a
     return params
 
 

@@ -62,6 +62,8 @@ class PowerSet:
         self.levels_dbm.setflags(write=False)
         if self.levels_dbm.ndim != 1 or self.levels_dbm.size < 1:
             raise ValueError("levels_dbm must be a nonempty vector")
+        if not np.all(np.isfinite(self.levels_dbm)):
+            raise ValueError("levels_dbm must be finite")
         if np.any(np.diff(self.levels_dbm) <= 0):
             raise ValueError("levels_dbm must be strictly increasing")
 

@@ -352,6 +352,19 @@ def list_adam(net, opt):
                            v=[np.zeros_like(p) for p in net.parameters()])
 
 
+def reference_adam_step(state, params, grads):
+    """The Adam update as plain expressions on one flat vector."""
+    state.t += 1
+    c1 = 1.0 - state.beta1 ** state.t
+    c2 = 1.0 - state.beta2 ** state.t
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grads
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (grads * grads)
+    params -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+
+
 def list_adam_step(state, params, grads):
     state.t += 1
     c1 = 1.0 - state.beta1 ** state.t

@@ -261,6 +261,26 @@ def test_partial_moves_hold_other_cells():
                                       env.powers.num_levels - 1)
 
 
+def test_steps_leave_earlier_configs_and_info_untouched():
+    env = _env(num_cells=3)
+    env.reset(8)
+    kept = env.tx
+    kept_copy = kept.copy()
+    infos = [env.step(np.array([1, 0, 1, 1, 0, 0])).info]
+    snapshots = [(infos[0]["power_idx"].copy(), infos[0]["beam_idx"].copy())]
+    infos.append(env.step_cells({0: (1, 1), 2: (0, 0)}).info)
+    snapshots.append((infos[1]["power_idx"].copy(),
+                      infos[1]["beam_idx"].copy()))
+    for _ in range(4):
+        env.step(np.array([0, 1, 1, 1, 1, 0]))
+        env.step_cells({1: (1, 0)})
+    np.testing.assert_array_equal(kept.power_idx, kept_copy.power_idx)
+    np.testing.assert_array_equal(kept.beam_idx, kept_copy.beam_idx)
+    for info, (power_idx, beam_idx) in zip(infos, snapshots):
+        np.testing.assert_array_equal(info["power_idx"], power_idx)
+        np.testing.assert_array_equal(info["beam_idx"], beam_idx)
+
+
 def test_joint_step_equals_full_move_dict():
     env_a = _env()
     env_b = _env()

@@ -149,6 +149,31 @@ def test_config_validation_errors():
     for message, overrides in wrongly_typed:
         with pytest.raises(ValueError, match=message):
             _tiny_config(**overrides)
+    # each of these used to validate, then ran a grid cell twice, died in
+    # NetworkEnv mid-grid, or ran with a key it could not mean
+    named = [
+        ("methods lists 'random' twice", dict(methods=("random", "random"))),
+        ("cell_counts lists 2 twice", dict(cell_counts=(2, 2))),
+        ("power_levels_dbm must be a list of numbers",
+         dict(power_levels_dbm=("a",))),
+        ("power_levels_dbm must be a list of numbers",
+         dict(power_levels_dbm=("30",))),
+        ("power_levels_dbm: .*nonempty", dict(power_levels_dbm=())),
+        ("power_levels_dbm: .*strictly increasing",
+         dict(power_levels_dbm=(30.0, 21.0))),
+        ("power_levels_dbm: .*finite",
+         dict(power_levels_dbm=(21.0, float("nan")))),
+        ("master_seed must be an integer", dict(master_seed="abc")),
+        ("brute_force_cap must be a whole number", dict(brute_force_cap=2.5)),
+        ("brute_force_cap must be a whole number",
+         dict(brute_force_cap=float("inf"))),
+        ("brute_force_cap must be a whole number", dict(brute_force_cap="9")),
+    ]
+    for message, overrides in named:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _tiny_config(**overrides)
+    # the README's 1e7 is an integral float and stays a valid cap
+    assert _tiny_config(brute_force_cap=1e7).brute_force_cap == 1e7
 
 
 _BAD_AGENT_OVERRIDES = [

@@ -8,7 +8,10 @@ import pytest
 from helpers import (drawn_channels, reference_brute_force,
                      reference_decode_config, reference_rx_powers)
 from skycell import kernels
+from skycell.baselines import brute_force_search
+from skycell.environment import EnvConfig, NetworkEnv
 from skycell.radio import PowerSet, dft_codebook
+from skycell.scenario import ScenarioConfig
 
 def _instance(seed, num_cells=3, num_antennas=4, codebook_size=8, num_levels=4):
     _, channels = drawn_channels(seed, num_cells, num_antennas)
@@ -49,6 +52,28 @@ def test_rx_powers_match_manual_sums():
             np.testing.assert_allclose(signal[l], contrib[l], rtol=1e-12)
             want_i = sum(contrib) - contrib[l]
             np.testing.assert_allclose(interference[l], want_i, rtol=1e-9)
+
+
+@pytest.mark.parametrize("num_cells", [1, 2, 3, 5])
+def test_batched_rx_matrix_equals_the_unbatched_call(num_cells):
+    # the batch runs along the trailing axes; each column is bit for bit the
+    # one-configuration call a step makes
+    rng = np.random.default_rng(num_cells)
+    gains = 10.0 ** rng.uniform(-12, -6, (num_cells, num_cells, 8))
+    beams = rng.integers(0, 8, num_cells)
+    batch = 10.0 ** rng.uniform(-1, 0, (num_cells, 300))
+    r = kernels.rx_matrix(gains, batch, beams)
+    assert r.shape == (num_cells, num_cells, 300)
+    signal, interference = kernels._split(r)
+    for k in range(batch.shape[1]):
+        want = kernels.rx_matrix(gains, batch[:, k], beams)
+        assert r[..., k].tobytes() == want.tobytes()
+        want_s, want_i = kernels._split(want)
+        assert signal[:, k].tobytes() == want_s.tobytes()
+        assert interference[:, k].tobytes() == want_i.tobytes()
+    # more than one batch axis keeps the same layout
+    grid = kernels.rx_matrix(gains, batch.reshape(num_cells, 15, 20), beams)
+    np.testing.assert_array_equal(grid, r.reshape(grid.shape))
 
 
 def test_decode_config_inverts_lexicographic_enumeration():
@@ -105,6 +130,22 @@ def test_brute_force_equals_the_code_order_scan(num_cells):
         for table in (gains, rounded, np.zeros_like(gains)):
             assert (kernels.brute_force(table, p_watts, noise)
                     == reference_brute_force(table, p_watts, noise))
+
+
+@pytest.mark.parametrize("num_cells,n_power,n_beams",
+                         [(1, 10, 8), (2, 10, 8), (3, 10, 8), (3, 3, 5),
+                          (5, 2, 3)])
+def test_oracle_rates_its_winner_as_a_step_does(num_cells, n_power, n_beams):
+    levels = tuple(float(v) for v in np.linspace(21.0, 30.0, n_power))
+    env = NetworkEnv(EnvConfig(scenario=ScenarioConfig(num_cells=num_cells),
+                               codebook_size=n_beams,
+                               power_levels_dbm=levels))
+    for seed in range(6):
+        env.reset(seed)
+        found = brute_force_search(env.channels, env.codebook, env.powers,
+                                   env.noise_watts)
+        state = env.link_state(tx=found.tx)
+        assert found.sum_rate == sum(state.rate.tolist())
 
 
 def test_brute_force_tie_across_beam_vectors_keeps_the_smaller_code():

@@ -1,11 +1,12 @@
 """Neural toolkit: exact gradients, optimizer behavior, replay, weight files."""
 
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from helpers import grad_check
+from helpers import grad_check, reference_adam_step
 from skycell import neural
 
 
@@ -143,6 +144,26 @@ def test_adam_descends_a_parabola():
     assert all(b < a for a, b in zip(history[:10], history[1:11]))
     assert min(history) < 0.01
     assert max(history[11:]) < 0.3
+
+
+def test_adam_step_equals_the_plain_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    net = neural.Mlp((10, 128, 128, 16), rng)
+    params = net.parameters()
+    twin = params.copy()
+    state = neural.AdamState(params, lr=3e-3)
+    ref = SimpleNamespace(lr=3e-3, beta1=0.9, beta2=0.999, eps=1e-8, t=0,
+                          m=np.zeros_like(twin), v=np.zeros_like(twin))
+    for _ in range(50):
+        # gradients across scales, with exact zeros, as a network's have
+        grads = rng.normal(size=params.shape) * 10.0 ** rng.uniform(-8, 2)
+        grads[rng.random(params.shape) < 0.1] = 0.0
+        assert neural.adam_step(state, params, grads) is params
+        reference_adam_step(ref, twin, grads)
+        assert state.t == ref.t
+    np.testing.assert_array_equal(params, twin)
+    np.testing.assert_array_equal(state.m, ref.m)
+    np.testing.assert_array_equal(state.v, ref.v)
 
 
 def test_adam_rejects_mismatched_parameter_lists():
