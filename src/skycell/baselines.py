@@ -52,22 +52,14 @@ def brute_force_search(channels: ChannelSet, codebook: Codebook,
                             sum_rate=float(rate), num_evaluated=int(evaluated))
 
 
-def mrt_select(channels: ChannelSet, codebook: Codebook) -> np.ndarray:
-    """Best codebook beam per serving link, ties to the lowest index."""
-    n = channels.num_cells
-    beams = np.empty(n, np.int64)
-    for l in range(n):
-        amp = codebook.codewords @ np.conj(channels.h[l, l])
-        beams[l] = int(np.argmax(amp.real * amp.real + amp.imag * amp.imag))
-    return beams
-
-
 def mrt_snrs(channels: ChannelSet, codebook: Codebook, powers: PowerSet,
              noise_watts: float, continuous: bool = False) -> np.ndarray:
     """Per-cell SNR at full power with matched beams (no interference).
 
-    continuous=True swaps the codebook sweep for the unconstrained matched
-    filter w = h / ||h||, whose beamforming gain is ||h||^2.
+    Each cell transmits on its best serving codeword, the beam the env starts
+    an episode from (kernels.serving_beams). continuous=True swaps the
+    codebook for the unconstrained matched filter w = h / ||h||, whose
+    beamforming gain is ||h||^2.
     """
     p_max = float(powers.watts()[-1])
     n = channels.num_cells
@@ -77,32 +69,27 @@ def mrt_snrs(channels: ChannelSet, codebook: Codebook, powers: PowerSet,
             h = channels.h[l, l]
             snr[l] = p_max * float(np.vdot(h, h).real) / noise_watts
         return snr
-    beams = mrt_select(channels, codebook)
+    beams = kernels.serving_beams(kernels.beam_gains(channels.h,
+                                                     codebook.codewords))
     for l in range(n):
-        w = codebook.codewords[beams[l]]
-        amp = np.vdot(channels.h[l, l], w)
+        amp = np.vdot(channels.h[l, l], codebook.codewords[beams[l]])
         snr[l] = p_max * (amp.real * amp.real + amp.imag * amp.imag) / noise_watts
     return snr
 
 
-def mrt_tdma_sum_rate(channels: ChannelSet, codebook: Codebook,
-                      powers: PowerSet, noise_watts: float,
-                      gamma_min_db: float = -3.0,
-                      continuous: bool = False) -> float:
-    """Interference-free time sharing with matched beams at full power.
+def mrt_tdma_sum_rate(snr: np.ndarray, gamma_min_db: float = -3.0) -> float:
+    """Interference-free time sharing over the per-cell SNRs from mrt_snrs.
 
     Every cell owns a 1/L slice of time. Cells whose SNR sits at or below the
     threshold are dropped and their slices stay idle, so the total is
     (1/L) * sum over surviving cells of log2(1 + SNR).
     """
-    snr = mrt_snrs(channels, codebook, powers, noise_watts, continuous)
     threshold = 10.0 ** (gamma_min_db / 10.0)
-    n = snr.size
     total = 0.0
-    for l in range(n):
+    for l in range(snr.size):
         if snr[l] > threshold:
             total += float(np.log2(1.0 + snr[l]))
-    return total / n
+    return total / snr.size
 
 
 def random_policy(rng: np.random.Generator, num_cells: int) -> np.ndarray:

@@ -88,8 +88,9 @@ def compute_reward(spec: RewardSpec, budgets=None, measurements=None, *,
 #
 # An action is a 0/1 vector of length 2L: bits 0..L-1 move powers, bits
 # L..2L-1 move beams. Bit value 1 steps the index up, 0 steps it down; power
-# indices clamp at the ends, beam indices wrap. Scalar action indices map to
-# bit vectors most-significant-bit first.
+# indices clamp at the ends, beam indices wrap. A bit must equal 0 or 1 (bools
+# and 0.0/1.0 pass; 0.5 is refused, never truncated). Scalar action indices
+# map to bit vectors most-significant-bit first.
 
 
 def num_actions(num_cells: int) -> int:
@@ -110,11 +111,10 @@ def action_from_index(index: int, num_cells: int) -> np.ndarray:
 
 def index_from_action(action) -> int:
     idx = 0
-    for b in np.asarray(action).ravel():
-        v = int(b)
-        if v not in (0, 1):
+    for b in np.asarray(action).ravel().tolist():
+        if b not in (0, 1):
             raise ValueError("action bits must be 0 or 1")
-        idx = (idx << 1) | v
+        idx = (idx << 1) | int(b)
     return idx
 
 
@@ -187,7 +187,6 @@ class NetworkEnv:
         self._features = None
         self.tx: Optional[TxConfig] = None
         self.step_count = 0
-        self.episode_seed = None
 
     @property
     def num_cells(self) -> int:
@@ -208,11 +207,9 @@ class NetworkEnv:
         self.gains = kernels.beam_gains(self.channels.h, self.codebook.codewords)
         n = self.num_cells
         mid = self.powers.num_levels // 2
-        beams = np.array([int(np.argmax(self.gains[l, l])) for l in range(n)],
-                         np.int64)
-        self.tx = TxConfig(power_idx=np.full(n, mid, np.int64), beam_idx=beams)
+        self.tx = TxConfig(power_idx=np.full(n, mid, np.int64),
+                           beam_idx=kernels.serving_beams(self.gains))
         self.step_count = 0
-        self.episode_seed = episode_seed
         # users do not move within an episode: the position block is final
         pos = (self.realization.user_positions - self._pos_lo) / self._pos_span
         self._features = np.concatenate((np.clip(pos.ravel(), 0.0, 1.0),
@@ -258,7 +255,7 @@ class NetworkEnv:
             raise ValueError(f"expected {2 * self.num_cells} action bits, "
                              f"got {action.size}")
         n = self.num_cells
-        bits = [int(b) for b in action.tolist()]
+        bits = action.tolist()
         return self.step_cells(dict(enumerate(zip(bits[:n], bits[n:]))))
 
     def step_cells(self, moves: dict) -> StepOutcome:

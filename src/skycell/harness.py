@@ -295,9 +295,8 @@ def _score_episode(config, env, base, act_fn, episode_seed):
         if base == "brute_force":
             found = brute_force_search(*net, cap=config.brute_force_cap)
             return found.sum_rate, None, _db(env.link_state(tx=found.tx).sinr)
-        rate = mrt_tdma_sum_rate(*net, gamma_min_db=config.gamma_min_db,
-                                 continuous=config.mrt_continuous)
-        return rate, None, _db(mrt_snrs(*net, continuous=config.mrt_continuous))
+        snr = mrt_snrs(*net, continuous=config.mrt_continuous)
+        return mrt_tdma_sum_rate(snr, config.gamma_min_db), None, _db(snr)
     record = greedy_rollout(env, act_fn, episode_seed)
     return record["best_rate"], record["episode_reward"], record["sinr_db"]
 

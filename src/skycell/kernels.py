@@ -3,13 +3,17 @@
 Received power has one formula (rx_matrix) and one split into signal and
 interference (_split). A step reads them through rx_powers and the exhaustive
 search reads them directly, so the oracle rates a configuration exactly as a
-step would. Interference is accumulated over transmitters in ascending index,
-so every caller sees the same rounding.
+step would. Interference is accumulated over transmitters in ascending index
+and sum rates over cells in ascending index, so every caller sees the same
+rounding. The best serving codeword of each cell (serving_beams) is the env's
+starting beam and the matched-beam baseline's beam alike.
 
 A batch of configurations runs along the trailing axes, after the (j, l)
 cell axes: numpy pays a fixed cost per inner-loop row, and with the batch
 last each row is a whole batch long rather than L long.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -30,6 +34,13 @@ def beam_gains(h: np.ndarray, codewords: np.ndarray) -> np.ndarray:
     """
     amp = np.einsum("jlm,wm->jlw", np.conj(h), codewords)
     return (amp.real * amp.real + amp.imag * amp.imag).astype(np.float64)
+
+
+def serving_beams(gains: np.ndarray) -> np.ndarray:
+    """Per cell, the codeword with the largest serving gain gains[l, l, w];
+    ties go to the lowest index."""
+    c = np.arange(gains.shape[0])
+    return np.argmax(gains[c, c], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +103,9 @@ def brute_force(gains, p_watts, noise_w):
     best_code = -1
     for c, beams in enumerate(_index_grid(n_beams, n_cells)):
         signal, interference = _split(rx_matrix(gains, powers, beams))
-        rates = np.log2(1.0 + signal / (interference + noise_w)).sum(axis=0)
+        # add cells in order, as a step does: numpy's sum pairs them up when
+        # the batch is one configuration long
+        rates = reduce(np.add, np.log2(1.0 + signal / (interference + noise_w)))
         k = int(np.argmax(rates))
         code = k * n_beam_vectors + c
         # a later beam vector can hold a smaller code, since power digits lead

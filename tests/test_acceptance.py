@@ -17,8 +17,8 @@ from scipy import stats
 from skycell.agents.dqn import DqnAgent, DqnConfig, dqn_act, train_dqn
 from skycell.agents.sequential import SequentialConfig, sequential_train
 from skycell.agents.wolpertinger import WolpertingerAgent, wolpertinger_act
-from skycell.baselines import (brute_force_search, mrt_tdma_sum_rate,
-                               random_policy)
+from skycell.baselines import (brute_force_search, mrt_snrs,
+                               mrt_tdma_sum_rate, random_policy)
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
 from skycell.harness import (ExperimentConfig, ccdf, greedy_rollout,
                              run_experiment, stream_seed, write_outputs)
@@ -114,9 +114,9 @@ def test_criterion_3_sum_rate_scales_with_cells_but_tdma_does_not():
         vals = []
         for i in range(1000):
             env.reset(stream_seed(32, "tdma", num_cells, i))
-            vals.append(mrt_tdma_sum_rate(env.channels, env.codebook,
-                                          env.powers, env.noise_watts,
-                                          gamma_min_db=-3.0))
+            vals.append(mrt_tdma_sum_rate(
+                mrt_snrs(env.channels, env.codebook, env.powers,
+                         env.noise_watts), gamma_min_db=-3.0))
         tdma_means.append(float(np.mean(vals)))
     spread = (max(tdma_means) - min(tdma_means)) / np.mean(tdma_means)
     assert spread < 0.05, tdma_means
@@ -129,8 +129,8 @@ def test_criterion_3_sum_rate_scales_with_cells_but_tdma_does_not():
         h = np.zeros((n, n, 4), np.complex128)
         for l in range(n):
             h[l, l] = np.sqrt(1e-9) * array_response(0.31, 4)
-        values.append(mrt_tdma_sum_rate(ChannelSet(h=h), codebook, powers,
-                                        NOISE))
+        values.append(mrt_tdma_sum_rate(mrt_snrs(ChannelSet(h=h), codebook,
+                                                 powers, NOISE)))
     assert values[0] > 1.0
     for v in values[1:]:
         assert v == values[0]

@@ -7,16 +7,20 @@ import pytest
 from scipy import stats
 
 from skycell.baselines import (BruteForceCapExceeded, brute_force_search,
-                               mrt_select, mrt_snrs, mrt_tdma_sum_rate,
-                               random_policy)
+                               mrt_snrs, mrt_tdma_sum_rate, random_policy)
 from skycell.channel import ChannelSet, array_response
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
+from skycell.kernels import beam_gains, serving_beams
 from skycell.radio import PowerSet, TxConfig, dft_codebook
 from skycell.scenario import ScenarioConfig
 
 from helpers import drawn_channels, sinr_all, sum_rate
 
 NOISE = 10.0 ** -11.5
+
+
+def _mrt_beams(channels, codebook):
+    return serving_beams(beam_gains(channels.h, codebook.codewords))
 
 
 def test_brute_force_matches_hand_enumeration():
@@ -54,7 +58,7 @@ def test_brute_force_single_cell_picks_max_power_and_sweep_beam():
     powers = PowerSet(levels_dbm=np.array([24.0, 27.0, 30.0]))
     result = brute_force_search(channels, codebook, powers, NOISE)
     assert result.tx.power_idx.tolist() == [2]
-    assert result.tx.beam_idx.tolist() == mrt_select(channels, codebook).tolist()
+    assert result.tx.beam_idx.tolist() == _mrt_beams(channels, codebook).tolist()
 
 
 def test_brute_force_all_zero_channels_tie_to_first_config():
@@ -88,15 +92,24 @@ def test_mrt_select_recovers_grid_angles():
     codebook = dft_codebook(4, 4)
     channels = _los_channels([float(codebook.angles[2]),
                               float(codebook.angles[1])], 4)
-    assert mrt_select(channels, codebook).tolist() == [2, 1]
+    assert _mrt_beams(channels, codebook).tolist() == [2, 1]
 
 
 def test_mrt_select_scale_invariant():
     _, channels = drawn_channels(9, num_cells=2)
     codebook = dft_codebook(4, 8)
-    base = mrt_select(channels, codebook)
+    base = _mrt_beams(channels, codebook)
     scaled = ChannelSet(h=channels.h * 37.5)
-    assert mrt_select(scaled, codebook).tolist() == base.tolist()
+    assert _mrt_beams(scaled, codebook).tolist() == base.tolist()
+
+
+def test_serving_beams_ties_go_to_the_lowest_index():
+    # only the serving gains count: cross gains are larger but ignored
+    gains = np.ones((3, 3, 5))
+    gains[0, 1] = gains[1, 0] = 7.0
+    assert serving_beams(gains).tolist() == [0, 0, 0]
+    gains[2, 2, [1, 3]] = 2.0
+    assert serving_beams(gains).tolist() == [0, 0, 1]
 
 
 def test_mrt_beam_gain_floor_on_line_of_sight_sweep():
@@ -126,16 +139,16 @@ def test_mrt_tdma_single_cell_is_full_rate():
     _, channels = drawn_channels(5, num_cells=1)
     codebook = dft_codebook(4, 8)
     powers = PowerSet(levels_dbm=np.array([27.0, 30.0]))
-    snr = mrt_snrs(channels, codebook, powers, NOISE)[0]
-    rate = mrt_tdma_sum_rate(channels, codebook, powers, NOISE)
-    assert rate == pytest.approx(np.log2(1 + snr), rel=1e-12)
+    snr = mrt_snrs(channels, codebook, powers, NOISE)
+    rate = mrt_tdma_sum_rate(snr)
+    assert rate == pytest.approx(np.log2(1 + snr[0]), rel=1e-12)
 
 
 def test_mrt_tdma_all_dropped_is_zero():
     _, channels = drawn_channels(5, num_cells=2)
     codebook = dft_codebook(4, 8)
     powers = PowerSet(levels_dbm=np.array([27.0, 30.0]))
-    assert mrt_tdma_sum_rate(channels, codebook, powers, NOISE,
+    assert mrt_tdma_sum_rate(mrt_snrs(channels, codebook, powers, NOISE),
                              gamma_min_db=200.0) == 0.0
 
 
@@ -146,7 +159,8 @@ def test_mrt_tdma_flat_in_l_for_identical_links():
     values = []
     for n in (1, 2, 3, 5):
         channels = _los_channels([theta] * n, 4, gain=1e-9)
-        values.append(mrt_tdma_sum_rate(channels, codebook, powers, NOISE))
+        values.append(mrt_tdma_sum_rate(mrt_snrs(channels, codebook, powers,
+                                                 NOISE)))
     assert values[0] > 1.0
     for v in values[1:]:
         assert v == values[0]
@@ -163,8 +177,7 @@ def test_mrt_tdma_drop_rule_and_idle_slots():
     channels = ChannelSet(h=h)
     snr = mrt_snrs(channels, codebook, powers, NOISE)
     cut_db = 10 * np.log10(np.sqrt(snr[0] * snr[1]))
-    rate = mrt_tdma_sum_rate(channels, codebook, powers, NOISE,
-                             gamma_min_db=cut_db)
+    rate = mrt_tdma_sum_rate(snr, gamma_min_db=cut_db)
     survivors = snr > 10 ** (cut_db / 10)
     assert survivors.tolist() == [True, False]
     # the dropped cell's slot stays idle: total still divides by L = 2

@@ -179,6 +179,12 @@ def test_initial_config_uses_mid_power_and_best_serving_beam():
     assert set(env.tx.power_idx.tolist()) == {env.powers.num_levels // 2}
     for l in range(env.num_cells):
         assert env.tx.beam_idx[l] == int(np.argmax(env.gains[l, l]))
+    for n in (1, 2, 3, 5):
+        sized = _env(num_cells=n)
+        for seed in range(5):
+            sized.reset(seed)
+            assert (sized.tx.beam_idx.tolist()
+                    == kernels.serving_beams(sized.gains).tolist())
 
 
 def test_features_are_normalized_and_sized():
@@ -220,6 +226,26 @@ def test_step_validates_shape_and_bits():
         env.step_cells({5: (0, 1)})
     with pytest.raises(ValueError):
         env.step_cells({0: (2, 1)})
+    # a bit must equal 0 or 1; it is never truncated to one
+    for bad in (0.5, 1.5):
+        with pytest.raises(ValueError):
+            env.step([bad, 0, 0, 0])
+    with pytest.raises(ValueError):
+        env.step_cells({0: (1.5, 0)})
+    with pytest.raises(ValueError):
+        index_from_action([1.5, 0])
+    assert index_from_action([True, False, 1.0, 0.0]) == 0b1010
+    # bools and 0.0/1.0 step exactly as the same 0/1 action does
+    envs = [_env() for _ in range(3)]
+    for other in envs:
+        other.reset(4)
+    for bits in np.random.default_rng(1).integers(0, 2, (10, 4)):
+        outs = [e.step(a) for e, a in
+                zip(envs, (bits, bits.astype(bool), bits.astype(float)))]
+        for out in outs[1:]:
+            np.testing.assert_array_equal(out.features, outs[0].features)
+            assert out.reward == outs[0].reward
+            assert out.info["sum_rate"] == outs[0].info["sum_rate"]
 
 
 def test_step_info_reports_ground_truth():

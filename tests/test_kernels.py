@@ -134,8 +134,10 @@ def test_brute_force_equals_the_code_order_scan(num_cells):
 
 @pytest.mark.parametrize("num_cells,n_power,n_beams",
                          [(1, 10, 8), (2, 10, 8), (3, 10, 8), (3, 3, 5),
-                          (5, 2, 3)])
+                          (5, 2, 3), (8, 1, 1), (9, 1, 1), (10, 1, 1)])
 def test_oracle_rates_its_winner_as_a_step_does(num_cells, n_power, n_beams):
+    # a one-configuration batch must still add its cells in order: seeds 0-5
+    # include draws where a pairwise sum differs in the last bit at L >= 8
     levels = tuple(float(v) for v in np.linspace(21.0, 30.0, n_power))
     env = NetworkEnv(EnvConfig(scenario=ScenarioConfig(num_cells=num_cells),
                                codebook_size=n_beams,
