@@ -3,8 +3,8 @@
 The header is a single UTF-8 JSON line naming the agent kind, the feature
 width and cell count the policy was trained for, and the network layout
 needed to rebuild it. Everything after the newline is the neural module's
-binary array format holding every network of the agent in a fixed order per
-kind (value net; actor then critic; per-cell nets in training order).
+binary array format holding every network of the agent, in the order _nets
+lists them.
 """
 
 from __future__ import annotations
@@ -20,46 +20,39 @@ from .wolpertinger import WolpertingerAgent, WolpertingerConfig
 
 
 def _arrays(net: neural.Mlp) -> list:
-    """The net's per-layer W, b arrays, in the order the payload stores them."""
+    """The net's per-layer W, b views, in the order the payload stores them."""
     return neural.layer_views(net.parameters(), net.widths)
 
 
-def _fill(net: neural.Mlp, arrays) -> None:
-    if list(map(np.shape, arrays)) != list(map(np.shape, _arrays(net))):
-        raise ValueError("checkpoint payload does not match the network layout")
-    net.parameters()[...] = np.concatenate(arrays, axis=None)
+def _nets(agent) -> list:
+    """The agent's (net, target) pairs, in the order the payload stores them."""
+    if isinstance(agent, DqnAgent):
+        return [(agent.online, agent.target)]
+    if isinstance(agent, WolpertingerAgent):
+        return [(agent.actor, agent.actor_target),
+                (agent.critic, agent.critic_target)]
+    if isinstance(agent, SequentialResult):
+        return [pair for cell in agent.order
+                for pair in _nets(agent.policies[cell])]
+    raise TypeError(f"cannot checkpoint object of type {type(agent).__name__}")
 
 
 def save_checkpoint(path, agent) -> None:
     """Write a DQN, Wolpertinger or sequential policy to one file."""
-    if isinstance(agent, DqnAgent):
-        head = {"kind": "dqn",
-                "num_features": agent.online.widths[0],
-                "num_cells": agent.num_cells,
-                "hidden": list(agent.config.hidden)}
-        arrays = _arrays(agent.online)
+    nets = [net for net, _ in _nets(agent)]
+    head = {"num_features": nets[0].widths[0],
+            "hidden": list(nets[0].widths[1:-1])}
+    if isinstance(agent, SequentialResult):
+        head.update(kind="sequential", num_cells=len(agent.order),
+                    order=[int(c) for c in agent.order])
     elif isinstance(agent, WolpertingerAgent):
-        head = {"kind": "wolpertinger",
-                "num_features": agent.actor.widths[0],
-                "num_cells": agent.num_cells,
-                "hidden": list(agent.config.hidden),
-                "k": int(agent.config.k)}
-        arrays = _arrays(agent.actor) + _arrays(agent.critic)
-    elif isinstance(agent, SequentialResult):
-        first = agent.policies[agent.order[0]]
-        head = {"kind": "sequential",
-                "num_features": first.online.widths[0],
-                "num_cells": len(agent.order),
-                "hidden": list(first.config.hidden),
-                "order": [int(c) for c in agent.order]}
-        arrays = []
-        for cell in agent.order:
-            arrays.extend(_arrays(agent.policies[cell].online))
+        head.update(kind="wolpertinger", num_cells=agent.num_cells,
+                    k=int(agent.config.k))
     else:
-        raise TypeError(f"cannot checkpoint object of type {type(agent).__name__}")
+        head.update(kind="dqn", num_cells=agent.num_cells)
     with open(path, "wb") as f:
         f.write(json.dumps(head, sort_keys=True).encode("utf-8") + b"\n")
-        f.write(neural.pack_params(arrays))
+        f.write(neural.pack_params([a for net in nets for a in _arrays(net)]))
 
 
 def load_checkpoint(path):
@@ -78,32 +71,23 @@ def load_checkpoint(path):
     arrays = neural.unpack_params(blob)
     if kind == "dqn":
         agent = DqnAgent(num_features, num_cells, DqnConfig(hidden=hidden))
-        _fill(agent.online, arrays)
-        agent.target.copy_from(agent.online)
-        return agent
-    if kind == "wolpertinger":
+    elif kind == "wolpertinger":
         agent = WolpertingerAgent(
             num_features, num_cells,
             WolpertingerConfig(hidden=hidden, k=int(head["k"])))
-        split = 2 * agent.actor.num_layers
-        _fill(agent.actor, arrays[:split])
-        _fill(agent.critic, arrays[split:])
-        agent.actor_target.copy_from(agent.actor)
-        agent.critic_target.copy_from(agent.critic)
-        return agent
-    if kind == "sequential":
+    elif kind == "sequential":
         order = tuple(int(c) for c in head["order"])
         config = SequentialConfig(hidden=hidden)
-        policies = {}
-        offset = 0
-        for cell in order:
-            cell_agent = CellAgent(num_features, config, seed=0)
-            count = 2 * cell_agent.online.num_layers
-            _fill(cell_agent.online, arrays[offset:offset + count])
-            cell_agent.target.copy_from(cell_agent.online)
-            policies[cell] = cell_agent
-            offset += count
-        if offset != len(arrays):
-            raise ValueError("checkpoint payload does not match the network layout")
-        return SequentialResult(order=order, policies=policies, history={})
-    raise ValueError(f"unknown checkpoint kind {kind!r}")
+        agent = SequentialResult(order=order, history={}, policies={
+            cell: CellAgent(num_features, config, seed=0) for cell in order})
+    else:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+    nets = _nets(agent)
+    views = [a for net, _ in nets for a in _arrays(net)]
+    if list(map(np.shape, arrays)) != list(map(np.shape, views)):
+        raise ValueError("checkpoint payload does not match the network layout")
+    for view, array in zip(views, arrays):
+        view[...] = array
+    for net, target in nets:
+        target.copy_from(net)
+    return agent

@@ -39,6 +39,8 @@ class SequentialConfig(DqnConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.episodes_per_agent < 1:
+            raise ValueError("episodes_per_agent must be positive")
         if self.order_metric not in ORDER_METRICS:
             raise ValueError(f"unknown order metric {self.order_metric!r}")
 

@@ -7,6 +7,8 @@ Q-head TD update they have in common live here once.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .. import neural
@@ -15,8 +17,11 @@ from ..environment import NetworkEnv
 
 def check_replay_settings(config) -> None:
     """Refuse replay settings under which a learner cannot train."""
-    if any(width < 1 for width in config.hidden):
-        raise ValueError("hidden layer widths must be positive")
+    # Mlp would truncate a width of 8.5 to 8
+    if any(isinstance(width, bool) or not isinstance(width, numbers.Integral)
+           or width < 1 for width in config.hidden):
+        raise ValueError(f"hidden layer widths must be positive integers, "
+                         f"got {config.hidden!r}")
     if config.batch_size < 1:
         raise ValueError("batch_size must be positive")
     # training starts once the buffer holds max(train_start, batch_size)

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import numbers
-import operator
 import os
 from dataclasses import dataclass, field, fields
 
@@ -28,7 +27,7 @@ from .agents.wolpertinger import (WolpertingerAgent, WolpertingerConfig,
 from .baselines import (BruteForceCapExceeded, brute_force_search, mrt_snrs,
                         mrt_tdma_sum_rate, random_policy)
 from .channel import PathLossParams
-from .environment import EnvConfig, NetworkEnv, RewardSpec
+from .environment import REWARD_KINDS, EnvConfig, NetworkEnv, RewardSpec
 from .radio import PowerSet
 from .scenario import ScenarioConfig
 
@@ -36,30 +35,42 @@ _SIMPLE_METHODS = ("brute_force", "mrt", "random")
 _AGENT_CONFIGS = {"dqn": DqnConfig, "wolpertinger": WolpertingerConfig,
                   "sequential": SequentialConfig}
 _LEARNER_BASES = tuple(_AGENT_CONFIGS)
-# count-valued config keys; a float here would be rounded or crash mid-run
-_INTEGER_KEYS = ("master_seed", "num_seeds", "seed_offset", "train_episodes",
-                 "eval_episodes", "horizon", "num_antennas", "codebook_size",
-                 "num_nlos_paths", "ccdf_points")
-_REWARD_SUFFIXES = {
-    "global": "global_sinr",
-    "serving": "serving_snr",
-    "measured": "measured_sinr",
-    "rsrq": "rsrq",
-}
+_REWARD_SUFFIXES = {k.split("_")[0]: k for k in REWARD_KINDS}
+# the values a JSON config may give a field of each annotation, and their
+# name; an agent section keeps its JSON arrays as lists
+_JSON_TYPES = {"int": (numbers.Integral, "an integer"),
+               "float": (numbers.Real, "a real number"),
+               "bool": (bool, "true or false"),
+               "str": (str, "a string"),
+               "tuple": ((tuple, list), "a list"),
+               "dict": (dict, "an object")}
+
+
+def _check_value(key: str, value, annotation: str) -> None:
+    """Refuse a value its annotation does not allow, naming the key. A bool
+    is never a number, and a real must be finite."""
+    kinds, name = _JSON_TYPES[annotation]
+    if ((isinstance(value, bool) and annotation != "bool")
+            or not isinstance(value, kinds)):
+        raise ValueError(f"{key} must be {name}, got {value!r}")
+    if annotation == "float" and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value!r}")
+
+
+def _check_fields(config) -> None:
+    for f in fields(config):
+        _check_value(f.name, getattr(config, f.name), f.type)
 
 
 def parse_method(name: str):
     """Split a method name into (base, reward kind or None)."""
     if name in _SIMPLE_METHODS:
         return name, None
-    for base in _LEARNER_BASES:
-        if name == base:
-            return base, "global_sinr"
-        prefix = base + "_"
-        if name.startswith(prefix):
-            suffix = name[len(prefix):]
-            if suffix in _REWARD_SUFFIXES:
-                return base, _REWARD_SUFFIXES[suffix]
+    # str(): a non-string entry (a JSON 5) is an unknown method like any other
+    base, underscore, suffix = str(name).partition("_")
+    if base in _LEARNER_BASES and (suffix in _REWARD_SUFFIXES
+                                   or not underscore):
+        return base, _REWARD_SUFFIXES.get(suffix, "global_sinr")
     raise ValueError(f"unknown method {name!r}")
 
 
@@ -99,7 +110,9 @@ class ExperimentConfig:
     nlos_intercept_db: float = 72.0
     nlos_exponent: float = 2.92
     num_nlos_paths: int = 3
-    brute_force_cap: int = 10_000_000
+    # a count, annotated float because JSON may write it 1e7; validate()
+    # refuses a fraction
+    brute_force_cap: float = 10_000_000
     mrt_continuous: bool = False
     ccdf_points: int = 101
     output_dir: str = "results"
@@ -113,27 +126,16 @@ class ExperimentConfig:
                 setattr(self, f.name, tuple(value))
 
     def validate(self) -> "ExperimentConfig":
-        counts = [(f"cell_counts[{i}]", c)
-                  for i, c in enumerate(self.cell_counts)]
-        counts += [(key, getattr(self, key)) for key in _INTEGER_KEYS]
-        for key, value in counts:
-            try:
-                if isinstance(value, bool):  # operator.index(True) is 1
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise ValueError(
-                    f"{key} must be an integer, got {value!r}") from None
-        # a JSON "false" is truthy and a JSON string is no level or exponent
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, "
-                                 f"got {value!r}")
-            if f.type == "float" and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{f.name} must be a real number, "
-                                 f"got {value!r}")
+        cap = self.brute_force_cap
+        if (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
+                or not float(cap).is_integer()):
+            raise ValueError(f"brute_force_cap must be a whole number, "
+                             f"got {cap!r}")
+        if cap < 1:
+            raise ValueError("brute_force_cap must be positive")
+        _check_fields(self)
+        for i, c in enumerate(self.cell_counts):
+            _check_value(f"cell_counts[{i}]", c, "int")
         if not self.cell_counts or any(c < 1 for c in self.cell_counts):
             raise ValueError("cell_counts must be nonempty positive integers")
         if not self.methods:
@@ -146,9 +148,8 @@ class ExperimentConfig:
                 if value in values[:i]:
                     raise ValueError(f"{key} lists {value!r} twice")
         levels = self.power_levels_dbm
-        if not isinstance(levels, tuple) or any(
-                isinstance(v, bool) or not isinstance(v, numbers.Real)
-                for v in levels):
+        if any(isinstance(v, bool) or not isinstance(v, numbers.Real)
+               for v in levels):
             raise ValueError(f"power_levels_dbm must be a list of numbers, "
                              f"got {levels!r}")
         try:
@@ -159,23 +160,13 @@ class ExperimentConfig:
             raise ValueError("need num_seeds >= 1 and seed_offset >= 0")
         if self.train_episodes < 1 or self.eval_episodes < 1:
             raise ValueError("episode counts must be positive")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
         if self.ccdf_points < 2:
             raise ValueError("ccdf_points must be at least 2")
-        cap = self.brute_force_cap
-        # an integral float such as 1e7 is a count; 2.5 is not
-        if (isinstance(cap, bool) or not isinstance(cap, numbers.Real)
-                or not float(cap).is_integer()):
-            raise ValueError(f"brute_force_cap must be a whole number, "
-                             f"got {cap!r}")
-        if cap < 1:
-            raise ValueError("brute_force_cap must be positive")
         for key, overrides in self.agent.items():
             if key not in _AGENT_CONFIGS:
                 raise ValueError(f"unknown agent override section {key!r}")
             try:
-                _AGENT_CONFIGS[key](**overrides)
+                _check_fields(_AGENT_CONFIGS[key](**overrides))
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"bad agent override for {key!r}: {exc}") from exc
         k = WolpertingerConfig(**self.agent.get("wolpertinger", {})).k

@@ -9,6 +9,7 @@ disc at an altitude sampled from a configured band.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,9 +29,12 @@ class ScenarioConfig:
             raise ValueError("num_cells must be at least 1")
         if self.cell_radius_m <= 0:
             raise ValueError("cell_radius_m must be positive")
-        lo, hi = self.user_altitude_range_m
-        if lo > hi:
-            raise ValueError("user_altitude_range_m must be (low, high)")
+        band = tuple(self.user_altitude_range_m)
+        if (len(band) != 2 or not all(
+                isinstance(z, numbers.Real) and not isinstance(z, bool)
+                and math.isfinite(z) for z in band) or band[0] > band[1]):
+            raise ValueError(f"user_altitude_range_m must be (low, high), two "
+                             f"finite numbers with low <= high, got {band!r}")
         if self.user_placement not in ("uniform", "cell_edge"):
             raise ValueError(f"unknown user_placement {self.user_placement!r}")
         if not 0.0 <= self.los_probability <= 1.0:

@@ -13,6 +13,7 @@ from skycell.agents.sequential import (CellAgent, SequentialConfig,
 from skycell.agents.wolpertinger import (WolpertingerAgent, WolpertingerConfig,
                                          wolpertinger_act)
 from skycell.environment import EnvConfig, NetworkEnv, RewardSpec
+from skycell.neural import pack_params, unpack_params
 from skycell.scenario import ScenarioConfig
 
 
@@ -115,6 +116,20 @@ def test_rejects_mismatched_layout(tmp_path):
     doc = json.loads(head)
     doc["hidden"] = [12]
     path.write_bytes(json.dumps(doc).encode() + b"\n" + payload)
+    with pytest.raises(ValueError, match="does not match the network layout"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("change", ["extra", "missing"])
+@pytest.mark.parametrize("kind", ["dqn", "wolpertinger", "sequential"])
+def test_rejects_payload_with_an_array_too_many_or_too_few(tmp_path, kind,
+                                                           change):
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(path, _seeded(kind))
+    head, _, payload = path.read_bytes().partition(b"\n")
+    arrays = unpack_params(payload)
+    arrays = arrays + [np.zeros(3)] if change == "extra" else arrays[:-1]
+    path.write_bytes(head + b"\n" + pack_params(arrays))
     with pytest.raises(ValueError, match="does not match the network layout"):
         load_checkpoint(path)
 

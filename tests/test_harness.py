@@ -174,6 +174,25 @@ def test_config_validation_errors():
             _tiny_config(**overrides)
     # the README's 1e7 is an integral float and stays a valid cap
     assert _tiny_config(brute_force_cap=1e7).brute_force_cap == 1e7
+    # every key is checked against its annotation, and a real must be
+    # finite: each of these used to validate and then crash, run a grid the
+    # config could not mean (NaN never fires the penalty), or die with an
+    # AttributeError or TypeError instead of a named ValueError
+    by_annotation = [
+        ("agent must be an object", dict(agent=[])),
+        ("cell_counts must be a list", dict(cell_counts=3)),
+        ("methods must be a list", dict(methods="random")),
+        ("unknown method 5", dict(methods=(5,))),
+        ("output_dir must be a string", dict(output_dir=5)),
+        *((f"{key} must be finite", {key: value})
+          for key in ("gamma_min_db", "penalty", "cell_radius_m")
+          for value in (math.nan, math.inf, -math.inf)),
+        *(("user_altitude_range_m must be", dict(user_altitude_range_m=band))
+          for band in (("a", "b"), (math.nan, 100.0), (50.0,))),
+    ]
+    for message, overrides in by_annotation:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            _tiny_config(**overrides)
 
 
 _BAD_AGENT_OVERRIDES = [
@@ -185,14 +204,25 @@ _BAD_AGENT_OVERRIDES = [
     # a buffer that cannot fill to the training threshold never trains
     {"batch_size": 16, "buffer_capacity": 8},
     {"train_start": 50, "buffer_capacity": 40},
+    # an agent section's keys obey the same type rule as the top level
+    {"lr": "x"},
+    {"batch_size": 8.0},
+    {"tau": True},
+    {"eps_fraction": None},
+    # Mlp would build a width-8 layer
+    {"hidden": [8.5]},
 ]
 
 
 @pytest.mark.parametrize("base", ["dqn", "wolpertinger", "sequential"])
 def test_bad_agent_override_fails_before_any_work(base, monkeypatch):
     bad = list(_BAD_AGENT_OVERRIDES)
-    if base != "wolpertinger":
+    if base == "wolpertinger":
+        bad.append({"k": 2.0})
+    else:
         bad.append({"target_sync": 0})
+    if base == "sequential":
+        bad.append({"episodes_per_agent": 0})
 
     def no_search(*args, **kwargs):
         raise AssertionError("grid work started before validation")
@@ -579,6 +609,24 @@ def test_cli_error_is_json_line(tmp_path, capsys):
     assert message["error"] == "ValueError"
     assert "no_such_key" in message["message"]
     assert not out.exists()
+
+
+def test_cli_bad_agent_override_fails_before_any_output(tmp_path, capsys):
+    data = _tiny_config().to_dict()
+    data["agent"] = {"dqn": {"lr": "x"}}
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "never"
+    rc = cli_main(["run", "--config", str(cfg_path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])
+    assert message["error"] == "ValueError"
+    assert "lr must be a real number" in message["message"]
+    assert not out.exists()
+    assert captured.out == ""
 
 
 def test_cli_bad_method_override_fails(tmp_path, capsys):
