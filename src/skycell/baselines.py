@@ -33,10 +33,12 @@ def brute_force_search(channels: ChannelSet, codebook: Codebook,
                        cap: int = 10_000_000) -> BruteForceResult:
     """Globally optimal joint (power, beam) configuration by enumeration.
 
-    Configurations are scanned in ascending lexicographic order of the index
-    tuple (p_0..p_{L-1}, b_0..b_{L-1}) and ties keep the first maximum, so
-    the reported optimum is the lexicographically smallest one. Raises
-    BruteForceCapExceeded without doing any work when the count exceeds cap.
+    A configuration is the index tuple (p_0..p_{L-1}, b_0..b_{L-1}) and its
+    code is that tuple's position in lexicographic order. Ties go to the
+    smallest code, so the reported optimum is the lexicographically smallest
+    one. kernels.brute_force holds one (L, W, P^L) array and a few (W, P^L)
+    ones at a time. Raises BruteForceCapExceeded without doing any work when
+    the count exceeds cap.
     """
     n = channels.num_cells
     count = (powers.num_levels * codebook.size) ** n

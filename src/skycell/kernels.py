@@ -1,12 +1,13 @@
 """Hot numeric kernels, vectorized with numpy.
 
 Received power has one formula (rx_matrix) and one split into signal and
-interference (_split). A step reads them through rx_powers and the exhaustive
-search reads them directly, so the oracle rates a configuration exactly as a
-step would. Interference is accumulated over transmitters in ascending index
-and sum rates over cells in ascending index, so every caller sees the same
-rounding. The best serving codeword of each cell (serving_beams) is the env's
-starting beam and the matched-beam baseline's beam alike.
+interference (_split). A step reads them through rx_powers; the exhaustive
+search reads rx_matrix and splits with the same arithmetic, so the oracle
+rates a configuration exactly as a step would. Interference is accumulated
+over transmitters in ascending index and sum rates over cells in ascending
+index, so every caller sees the same rounding. The best serving codeword of
+each cell (serving_beams) is the env's starting beam and the matched-beam
+baseline's beam alike.
 
 A batch of configurations runs along the trailing axes, after the (j, l)
 cell axes: numpy pays a fixed cost per inner-loop row, and with the batch
@@ -82,34 +83,47 @@ def rx_powers(gains, p_watts, beams):
 
 
 def _index_grid(radix, width):
-    """Every radix^width index tuple, one per row, in C order."""
-    return np.indices((radix,) * width).reshape(width, -1).T
+    """Every radix^width index tuple, one per row, in C order; width 0 gives
+    the one empty tuple."""
+    return np.indices((radix,) * width).reshape(width, radix ** width).T
 
 
 def brute_force(gains, p_watts, noise_w):
     """Best joint configuration by exhaustive enumeration.
 
-    Scans one beam vector at a time, rating every power vector against it at
-    once through the same received-power formula a step uses, so memory is
-    P^L * L^2 floats, laid out (L, L, P^L). Returns (best_sum_rate,
-    best_code, num_evaluated), where best_code is the winning tuple's index
-    in C order over the shape (P,) * L + (W,) * L.
+    The last cell's received powers for each of its W beams are formed once.
+    The scan takes the first L-1 cells' beam vectors one at a time (one empty
+    prefix when L = 1) and rates all W * P^L configurations sharing that
+    prefix at once, laid out (W, P^L) with the power axis innermost, so memory
+    is one (L, W, P^L) array and a few (W, P^L) ones of floats. Returns
+    (best_sum_rate, best_code, num_evaluated), where best_code is the winning
+    tuple's index in C order over the shape (P,) * L + (W,) * L; ties go to
+    the smallest code.
     """
     n_cells = gains.shape[0]
     n_beams = gains.shape[2]
     powers = p_watts[_index_grid(p_watts.shape[0], n_cells).T]
     n_beam_vectors = n_beams ** n_cells
+    # last[l, w, k] = powers[-1, k] * gains[-1, l, w]: the last cell's row
+    last = powers[-1] * gains[-1][:, :, None]
     best_rate = -1.0
     best_code = -1
-    for c, beams in enumerate(_index_grid(n_beams, n_cells)):
-        signal, interference = _split(rx_matrix(gains, powers, beams))
-        # add cells in order, as a step does: numpy's sum pairs them up when
-        # the batch is one configuration long
-        rates = reduce(np.add, np.log2(1.0 + signal / (interference + noise_w)))
-        k = int(np.argmax(rates))
-        code = k * n_beam_vectors + c
-        # a later beam vector can hold a smaller code, since power digits lead
-        if rates[k] > best_rate or (rates[k] == best_rate and code < best_code):
-            best_rate = float(rates[k])
-            best_code = code
+    for c, beams in enumerate(_index_grid(n_beams, n_cells - 1)):
+        head = rx_matrix(gains[:-1], powers[:-1], beams)
+        signal = [head[l, l] for l in range(n_cells - 1)] + [last[-1]]
+        # numpy reduces axis 0 row by row, so head's sum adds ascending j and
+        # the last row goes on top; cells add in order, as a step does
+        rates = reduce(np.add, (np.log2(1.0 + s / (h + t - s + noise_w))
+                                for s, h, t in zip(signal, head.sum(axis=0),
+                                                   last)))
+        top = rates.max()
+        # a NaN top fails this test, so its batch is skipped
+        if top >= best_rate:
+            w, k = np.nonzero(rates == top)
+            # power digits lead, so the smallest code is not argmax's first
+            # hit in (W, P^L) order, nor always in the earliest beam vector
+            code = int((k * n_beam_vectors + w).min()) + c * n_beams
+            if top > best_rate or code < best_code:
+                best_rate = float(top)
+                best_code = code
     return best_rate, best_code, powers.shape[1] * n_beam_vectors

@@ -10,7 +10,6 @@ policy networks used elsewhere in the package.
 from __future__ import annotations
 
 import struct
-import threading
 from collections import namedtuple
 
 import numpy as np
@@ -187,13 +186,12 @@ Batch = namedtuple("Batch", "states actions rewards next_states dones")
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer of transitions, safe for concurrent use."""
+    """Fixed-capacity ring buffer of transitions."""
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._lock = threading.Lock()
         self._states = None
         self._actions = None
         self._rewards = np.empty(capacity, np.float64)
@@ -203,40 +201,37 @@ class ReplayBuffer:
         self._cursor = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return self._size
+        return self._size
 
     def push(self, state, action, reward, next_state, done) -> None:
         state = np.asarray(state, np.float64)
         action = np.asarray(action)
         next_state = np.asarray(next_state, np.float64)
-        with self._lock:
-            if self._states is None:
-                self._states = np.empty((self.capacity,) + state.shape, np.float64)
-                self._next_states = np.empty_like(self._states)
-                self._actions = np.empty((self.capacity,) + action.shape,
-                                         action.dtype)
-            i = self._cursor
-            self._states[i] = state
-            self._actions[i] = action
-            self._rewards[i] = reward
-            self._next_states[i] = next_state
-            self._dones[i] = done
-            self._cursor = (i + 1) % self.capacity
-            self._size = min(self._size + 1, self.capacity)
+        if self._states is None:
+            self._states = np.empty((self.capacity,) + state.shape, np.float64)
+            self._next_states = np.empty_like(self._states)
+            self._actions = np.empty((self.capacity,) + action.shape,
+                                     action.dtype)
+        i = self._cursor
+        self._states[i] = state
+        self._actions[i] = action
+        self._rewards[i] = reward
+        self._next_states[i] = next_state
+        self._dones[i] = done
+        self._cursor = (i + 1) % self.capacity
+        self._size = min(self._size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> Batch:
         """Uniform minibatch without replacement; needs batch_size stored items."""
-        with self._lock:
-            if self._size < 1:
-                raise ValueError("cannot sample from an empty buffer")
-            if batch_size > self._size:
-                raise ValueError(f"cannot draw {batch_size} distinct transitions "
-                                 f"from {self._size} stored")
-            idx = rng.choice(self._size, size=batch_size, replace=False)
-            # fancy indexing copies, so the batch shares no memory with us
-            return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
-                         self._next_states[idx], self._dones[idx])
+        if self._size < 1:
+            raise ValueError("cannot sample from an empty buffer")
+        if batch_size > self._size:
+            raise ValueError(f"cannot draw {batch_size} distinct transitions "
+                             f"from {self._size} stored")
+        idx = rng.choice(self._size, size=batch_size, replace=False)
+        # fancy indexing copies, so the batch shares no memory with us
+        return Batch(self._states[idx], self._actions[idx], self._rewards[idx],
+                     self._next_states[idx], self._dones[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -86,7 +86,7 @@ def test_decode_config_inverts_lexicographic_enumeration():
         powers, beams = reference_decode_config(code, n_cells, n_power,
                                                 n_beams)
         assert tuple(powers) + tuple(beams) == want
-    for radix, width in ((3, 2), (4, 1), (2, 3)):
+    for radix, width in ((3, 2), (4, 1), (2, 3), (5, 0)):
         want = list(itertools.product(range(radix), repeat=width))
         assert [tuple(row) for row in kernels._index_grid(radix, width)] == want
 
@@ -117,12 +117,21 @@ def test_brute_force_matches_python_enumeration():
     np.testing.assert_allclose(got_rate, best_rate, rtol=1e-9)
 
 
-@pytest.mark.parametrize("num_cells", [1, 2, 3])
+# (P, W) shapes per cell count; P = 1 and W = 1 leave one axis of the scan
+# a single entry
+_SCAN_SHAPES = {1: [(3, 5), (4, 8), (2, 3)],
+                2: [(3, 5), (4, 8), (2, 3), (1, 8)],
+                3: [(3, 5), (4, 8), (2, 3), (10, 1)],
+                4: [(2, 3)],
+                5: [(2, 2)]}
+
+
+@pytest.mark.parametrize("num_cells", sorted(_SCAN_SHAPES))
 def test_brute_force_equals_the_code_order_scan(num_cells):
     # the same (rate, code, count) as a scan over codes in ascending order,
     # also on rounded tables full of ties and on all-zero tables
     noise = 3e-12
-    for seed, (n_power, n_beams) in enumerate([(3, 5), (4, 8), (2, 3)]):
+    for seed, (n_power, n_beams) in enumerate(_SCAN_SHAPES[num_cells]):
         _, _, gains, p_watts = _instance(10 * num_cells + seed, num_cells,
                                          codebook_size=n_beams,
                                          num_levels=n_power)
@@ -134,7 +143,8 @@ def test_brute_force_equals_the_code_order_scan(num_cells):
 
 @pytest.mark.parametrize("num_cells,n_power,n_beams",
                          [(1, 10, 8), (2, 10, 8), (3, 10, 8), (3, 3, 5),
-                          (5, 2, 3), (8, 1, 1), (9, 1, 1), (10, 1, 1)])
+                          (4, 3, 3), (5, 2, 3), (8, 1, 1), (9, 1, 1),
+                          (10, 1, 1)])
 def test_oracle_rates_its_winner_as_a_step_does(num_cells, n_power, n_beams):
     # a one-configuration batch must still add its cells in order: seeds 0-5
     # include draws where a pairwise sum differs in the last bit at L >= 8
@@ -165,6 +175,25 @@ def test_brute_force_tie_across_beam_vectors_keeps_the_smaller_code():
     # its twin (p=(1, 1, 1), b=(0, 1, 1)) rates exactly the same
     signal, interference = kernels.rx_powers(gains, p_watts[[1, 1, 1]],
                                              np.array([0, 1, 1]))
+    assert np.log2(1.0 + signal / (interference + 0.1)).sum() == rate
+
+
+def test_brute_force_tie_inside_one_scan_keeps_the_smaller_code():
+    # the last cell's codeword 1 has exactly twice its codeword 0's gains and
+    # the top power level is twice the bottom one, so (p=1, b=0) and (p=0,
+    # b=1) for the last cell are the same received powers and rate together
+    # in one scan. This draw's optimum puts the last cell at that level; its
+    # smaller code, (p=0, b=1), is not argmax's first hit in (W, P^L) order.
+    rng = np.random.default_rng(7)
+    gains = 10.0 ** rng.uniform(-3, 1, (3, 3, 2))
+    gains[-1, :, 1] = 2.0 * gains[-1, :, 0]
+    p_watts = np.array([1.0, 2.0])
+    rate, code, evaluated = kernels.brute_force(gains, p_watts, 0.1)
+    assert (rate, code, evaluated) == reference_brute_force(gains, p_watts, 0.1)
+    assert np.unravel_index(code, (2,) * 6) == (1, 1, 0, 1, 0, 1)
+    # its twin (p=(1, 1, 1), b=(1, 0, 0)) rates exactly the same
+    signal, interference = kernels.rx_powers(gains, p_watts[[1, 1, 1]],
+                                             np.array([1, 0, 0]))
     assert np.log2(1.0 + signal / (interference + 0.1)).sum() == rate
 
 

@@ -1,6 +1,5 @@
 """Neural toolkit: exact gradients, optimizer behavior, replay, weight files."""
 
-import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -220,25 +219,6 @@ def test_replay_rejects_empty_and_oversized_draws():
         buf.sample(2, np.random.default_rng(0))
     with pytest.raises(ValueError):
         neural.ReplayBuffer(0)
-
-
-def test_replay_survives_concurrent_pushes():
-    buf = neural.ReplayBuffer(256)
-
-    def worker(offset):
-        for i in range(500):
-            _push_scalar(buf, float(offset + i))
-
-    threads = [threading.Thread(target=worker, args=(1000 * t,))
-               for t in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(buf) == 256
-    batch = buf.sample(64, np.random.default_rng(2))
-    np.testing.assert_allclose(batch.next_states[:, 0] - batch.states[:, 0],
-                               0.5)
 
 
 def test_weight_file_roundtrip_is_bitwise():
